@@ -15,6 +15,7 @@
 //! registry hiccups without its owner doing anything.
 
 use crate::reactor::{Delivery, ReactorHandle};
+use crate::sender::MsgSender;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
@@ -28,7 +29,7 @@ use swing_telemetry::{names, Histogram, Telemetry};
 pub struct RegistryClient {
     reactor: ReactorHandle,
     addr: String,
-    out: Sender<Message>,
+    out: MsgSender,
     inbox: Receiver<Message>,
     /// `ServiceExpired` pushes that arrived while awaiting a reply.
     expired: VecDeque<ServiceEntry>,
@@ -40,7 +41,7 @@ impl RegistryClient {
     /// Dial the registry at `addr` through `reactor`.
     pub fn connect(reactor: &ReactorHandle, addr: &str, timeouts: NetTimeouts) -> Result<Self> {
         let (tx, rx) = unbounded();
-        let out = reactor.dial_bidi(addr, Delivery::Inbox(tx))?;
+        let out = reactor.dial_bidi(addr, Delivery::Inbox(tx.into()))?;
         Ok(RegistryClient {
             reactor: reactor.clone(),
             addr: addr.to_owned(),
@@ -62,7 +63,9 @@ impl RegistryClient {
     /// watch must be re-issued by the caller.
     pub fn reconnect(&mut self) -> Result<()> {
         let (tx, rx) = unbounded();
-        self.out = self.reactor.dial_bidi(&self.addr, Delivery::Inbox(tx))?;
+        self.out = self
+            .reactor
+            .dial_bidi(&self.addr, Delivery::Inbox(tx.into()))?;
         self.inbox = rx;
         Ok(())
     }
@@ -94,7 +97,7 @@ impl RegistryClient {
     }
 
     /// Renew many leases in one batched round trip (all requests
-    /// written before any reply is awaited — one reactor sweep carries
+    /// written before any reply is awaited — one reactor pass carries
     /// the lot). Returns one liveness flag per entry, in order.
     pub fn heartbeat_all(&mut self, entries: &[ServiceEntry]) -> Result<Vec<bool>> {
         for entry in entries {

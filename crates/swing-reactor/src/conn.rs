@@ -1,7 +1,9 @@
 //! Non-blocking framed connection state.
 //!
 //! A [`FramedConn`] owns one `O_NONBLOCK` socket plus the two state
-//! machines a readiness loop needs around it:
+//! machines a readiness loop needs around it, and tells the loop which
+//! readiness to wait for ([`FramedConn::write_blocked`]: writability
+//! matters only while a write is stalled on a full socket buffer):
 //!
 //! * **reads** — whatever bytes the kernel has are fed into the shared
 //!   [`FrameAssembler`], which re-slices the torn byte stream back into
@@ -10,12 +12,13 @@
 //!   zero-copy `encode_segments` path into an [`OutFrame`] (scratch
 //!   chunks copied, bulk payloads borrowed), then drained through the
 //!   socket across as many short writes as it takes, resuming at the
-//!   exact chunk/byte offset where the previous sweep hit `WouldBlock`.
+//!   exact chunk/byte offset where the previous attempt hit `WouldBlock`.
 
 use bytes::BytesMut;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use swing_core::{Result, SharedBytes};
 use swing_net::frame::MAX_FRAME;
 use swing_net::wire::WireSegment;
@@ -117,6 +120,9 @@ pub struct FramedConn {
     outq: VecDeque<OutFrame>,
     /// Wire bytes queued but not yet written (cheap gauge feed).
     queued_bytes: usize,
+    /// The last write attempt stopped on `WouldBlock` with frames
+    /// still queued.
+    write_blocked: bool,
 }
 
 impl FramedConn {
@@ -130,7 +136,21 @@ impl FramedConn {
             assembler: FrameAssembler::new(),
             outq: VecDeque::new(),
             queued_bytes: 0,
+            write_blocked: false,
         })
+    }
+
+    /// The socket's descriptor, for the readiness wait.
+    #[must_use]
+    pub fn fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+
+    /// Whether the socket refused the last write: the only time the
+    /// readiness loop needs to hear that it became writable.
+    #[must_use]
+    pub fn write_blocked(&self) -> bool {
+        self.write_blocked
     }
 
     /// The underlying socket (for peer-addr labels and shutdown).
@@ -163,6 +183,7 @@ impl FramedConn {
     /// fatal for the connection.
     pub fn drain_write(&mut self) -> Result<(u64, Drain)> {
         let mut frames_done = 0u64;
+        self.write_blocked = false;
         loop {
             let Some(front) = self.outq.front_mut() else {
                 return Ok((frames_done, Drain::Idle));
@@ -190,6 +211,7 @@ impl FramedConn {
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        self.write_blocked = true;
                         return Ok((frames_done, Drain::Blocked));
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -322,6 +344,7 @@ mod tests {
         let (done, drain) = tx.drain_write().unwrap();
         assert_eq!(done, 0);
         assert_eq!(drain, Drain::Blocked);
+        assert!(tx.write_blocked());
         assert!(tx.queued_bytes() < tx.outq.front().unwrap().wire_len() + 1);
         let mut buf = vec![0u8; 256 * 1024];
         let mut frames = Vec::new();
@@ -332,6 +355,7 @@ mod tests {
             let _ = rx.drain_read(&mut buf, &mut frames).unwrap();
         }
         assert_eq!(Message::decode_shared(&frames[0]).unwrap(), msg);
+        assert!(!tx.write_blocked());
     }
 
     #[test]

@@ -8,18 +8,24 @@
 //! tombstone-on-expiry watch events.
 //!
 //! Per the workspace dependency policy (DESIGN.md §7) this is built on
-//! `std::net` only — no tokio, no mio, no libc. Sockets are switched to
-//! non-blocking mode and the reactor *sweeps* them level-triggered
-//! style, parking on its command channel with adaptive backoff when
-//! idle; see [`reactor`] for the model and the epoll upgrade seam.
+//! `std::net` — no tokio, no mio, no `libc` crate. Sockets are switched
+//! to non-blocking mode and the reactor thread sleeps in `epoll_wait`
+//! until one of them is ready or a producer wakes it; the three `epoll`
+//! calls are declared first-party in `sys.rs`, the only foreign
+//! declarations in the workspace and the one module its lints let step
+//! outside safe Rust. Linux only; see [`reactor`] for the model.
 //!
 //! Layering:
 //!
 //! - [`conn`]: one non-blocking connection — partial reads reassembled
 //!   through `swing-net`'s [`FrameAssembler`](swing_net::FrameAssembler),
-//!   short writes drained from the zero-copy `encode_segments` chunks.
-//! - [`reactor`]: the sweep loop, registration/dial/wakeup API, bounded
-//!   outboxes feeding transport backpressure into the PR 5 credit gate.
+//!   short writes drained from the zero-copy `encode_segments` chunks,
+//!   and which readiness the connection is waiting for.
+//! - [`reactor`]: the readiness loop, registration/dial/wake-up API,
+//!   bounded outboxes feeding transport backpressure into the PR 5
+//!   credit gate.
+//! - [`sender`]: [`MsgSender`], the sending handle of every link, which
+//!   wakes the reactor when the link is one of its own.
 //! - [`registry`]: lease table + server loop for service discovery.
 //! - [`client`]: synchronous registry client and the shared
 //!   [`Heartbeater`] renewal thread.
@@ -31,8 +37,11 @@ pub mod client;
 pub mod conn;
 pub mod reactor;
 pub mod registry;
+pub mod sender;
+mod sys;
 
 pub use client::{await_service, Heartbeater, RegistryClient};
 pub use conn::{Drain, FramedConn, OutFrame};
 pub use reactor::{ConnEvent, ConnId, Delivery, Reactor, ReactorConfig, ReactorHandle};
 pub use registry::{Pattern, RegistryCore, RegistryServer};
+pub use sender::MsgSender;

@@ -1,24 +1,29 @@
 //! The readiness loop: one thread multiplexing every live socket.
 //!
-//! `std::net` exposes no readiness API and the dependency policy
-//! (DESIGN.md §7) rules out `libc`/`mio`/`tokio`, so the reactor is a
-//! *sweep* loop: every registered socket is `O_NONBLOCK`, and each
-//! iteration drains the command channel, accepts pending connections,
-//! then try-writes / try-reads every connection until `WouldBlock`.
-//! Between sweeps with no activity the loop parks on the command
-//! channel with an adaptive backoff (sub-millisecond when recently
-//! busy, capped low enough that dial/lookup latency stays bounded), so
-//! an idle reactor costs little and a busy one polls at full rate.
-//! This trades syscalls-per-sweep for zero dependencies — the seam to
-//! upgrade to `epoll` later is exactly this module.
+//! Every registered socket is `O_NONBLOCK`, and the reactor thread
+//! sleeps in one `epoll_wait` — declared first-party in `sys.rs`, no
+//! `libc` crate (DESIGN.md §7) — over its listeners, its connections
+//! and a wake handle. It asks for readability on everything, for
+//! writability only on connections whose last write stopped on a full
+//! socket buffer, and services exactly the descriptors the kernel
+//! reports. An idle reactor makes no system call at all; a message
+//! crosses it as fast as the kernel can report the socket ready.
+//!
+//! What the kernel cannot see — a message queued in an outbox, a
+//! command, the last sender of a link going away — is announced through
+//! the wake handle: a socket pair whose read end is in the epoll set,
+//! written behind an "already notified" flag so that a burst of sends
+//! costs one byte. [`MsgSender`], [`ReactorHandle`]'s commands and the
+//! drop of a link's last sender all poke it.
 //!
 //! Connections come in two flavours:
 //!
-//! * **dialed** ([`ReactorHandle::dial`]) — the caller gets a *bounded*
-//!   `Sender<Message>`; the reactor moves messages from that outbox
-//!   into the connection's write queue only while the queue is short,
-//!   so a slow peer back-pressures producers through the channel bound
-//!   (which is what the PR 5 credit gate ultimately leans on).
+//! * **dialed** ([`ReactorHandle::dial`]) — the caller gets a
+//!   [`MsgSender`] over a *bounded* outbox; the reactor moves messages
+//!   from that outbox into the connection's write queue only while the
+//!   queue is short, so a slow peer back-pressures producers through
+//!   the channel bound (which is what the PR 5 credit gate ultimately
+//!   leans on).
 //! * **accepted** — inbound frames are decoded and delivered either to
 //!   a plain inbox (`Delivery::Inbox`, the fabric path) or as
 //!   [`ConnEvent`]s tagged with a [`ConnId`] (`Delivery::Service`, for
@@ -26,15 +31,20 @@
 //!   [`ReactorHandle::send_to`]).
 
 use crate::conn::{Drain, FramedConn, OutFrame};
+use crate::sender::MsgSender;
+use crate::sys::{Epoll, Event, READABLE, WRITABLE};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::HashMap;
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use std::fmt;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use swing_core::{Error, Result};
+use swing_core::{Error, Result, SharedBytes};
 use swing_net::wire::WireSegment;
 use swing_net::{Message, NetTimeouts};
 use swing_telemetry::{names, Counter, Gauge, Telemetry};
@@ -67,7 +77,7 @@ pub enum Delivery {
     /// Decoded messages are forwarded to this sender, with no
     /// connection identity — the fabric inbox model, where all peers
     /// funnel into one queue.
-    Inbox(Sender<Message>),
+    Inbox(MsgSender),
     /// Events tagged with the originating [`ConnId`], including a
     /// [`ConnEvent::Closed`] tombstone — for request/reply services.
     Service(Sender<ConnEvent>),
@@ -83,9 +93,6 @@ pub struct ReactorConfig {
     /// connection's outbox (keeps per-conn memory bounded by
     /// `outbox_capacity + writer_queue_limit` frames).
     pub writer_queue_limit: usize,
-    /// Idle-sweep park time cap. Small values cut command / readiness
-    /// latency on an idle reactor at the cost of idle CPU.
-    pub idle_backoff_max: Duration,
     /// Network timing (dial timeout is taken from here).
     pub timeouts: NetTimeouts,
 }
@@ -95,14 +102,62 @@ impl Default for ReactorConfig {
         ReactorConfig {
             outbox_capacity: 256,
             writer_queue_limit: 64,
-            idle_backoff_max: Duration::from_millis(5),
             timeouts: NetTimeouts::default(),
         }
     }
 }
 
+/// The reactor's wake handle: a socket pair whose read end sits in the
+/// epoll set. Both ends live here, so a write can never meet a closed
+/// peer however long a [`MsgSender`] outlives the reactor thread.
+#[derive(Debug)]
+pub(crate) struct Waker {
+    /// A wake-up byte is in the pipe (or about to be) and the reactor
+    /// has not consumed it yet: further wakes are free.
+    notified: AtomicBool,
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Waker {
+    fn new() -> io::Result<Self> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker {
+            notified: AtomicBool::new(false),
+            tx,
+            rx,
+        })
+    }
+
+    /// Make the reactor's current or next wait return. Call *after*
+    /// publishing the work: the reactor clears the flag before it looks
+    /// for work (SeqCst on both sides), so work published before a
+    /// skipped wake is still found.
+    pub(crate) fn wake(&self) {
+        if !self.notified.swap(true, Ordering::SeqCst) {
+            // The flag admits one byte at a time, so the pipe is never
+            // full; nothing to do about an error here in any case.
+            let _ = (&self.tx).write_all(&[1]);
+        }
+    }
+
+    /// Reactor side, once `rx` is reported readable: swallow the byte,
+    /// then re-arm. In that order — the flag is set for as long as a
+    /// byte is in the pipe, so none can arrive between the two steps.
+    fn reset(&self) {
+        let _ = (&self.rx).read(&mut [0u8; 8]);
+        self.notified.store(false, Ordering::SeqCst);
+    }
+}
+
 enum Cmd {
-    Listen(TcpListener, Delivery),
+    Listen {
+        listener: TcpListener,
+        delivery: Delivery,
+        reply: Sender<Result<()>>,
+    },
     Register {
         stream: TcpStream,
         outbox: Option<Receiver<Message>>,
@@ -115,13 +170,41 @@ enum Cmd {
 }
 
 /// Handle for registering work with a running [`Reactor`]. Cloneable;
-/// the reactor thread exits when every handle is dropped or
-/// [`shutdown`](Self::shutdown) is called.
+/// the reactor thread is stopped and joined when every handle is
+/// dropped or [`shutdown`](Self::shutdown) is called.
 #[derive(Clone)]
 pub struct ReactorHandle {
+    shared: Arc<Shared>,
+}
+
+struct Shared {
     cmd: Sender<Cmd>,
+    waker: Arc<Waker>,
     config: ReactorConfig,
-    thread: Arc<Mutex<Option<JoinHandle<()>>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Shared {
+    fn shutdown(&self) {
+        let _ = self.cmd.send(Cmd::Shutdown);
+        self.waker.wake();
+        // The slot holds a handle or nothing at every step, so a
+        // poisoned lock is safe to recover (and this runs from Drop).
+        let thread = self
+            .thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(h) = thread {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Shared {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
 }
 
 impl fmt::Debug for ReactorHandle {
@@ -137,55 +220,47 @@ impl ReactorHandle {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        self.send_cmd(Cmd::Listen(listener, delivery))?;
+        let (reply, registered) = bounded(1);
+        self.send_cmd(Cmd::Listen {
+            listener,
+            delivery,
+            reply,
+        })?;
+        registered.recv().map_err(|_| Error::Closed)??;
         Ok(local.to_string())
     }
 
-    /// Dial a peer for writing. Returns a *bounded* sender; `send`
-    /// blocks once `outbox_capacity` messages are queued, which is the
+    /// Dial a peer for writing. The returned sender's `send` blocks
+    /// once `outbox_capacity` messages are queued, which is the
     /// transport's back-pressure signal. Dropping every clone of the
     /// sender closes the connection after the queue drains.
-    pub fn dial(&self, addr: &str) -> Result<Sender<Message>> {
+    pub fn dial(&self, addr: &str) -> Result<MsgSender> {
         self.dial_with_delivery(addr, None)
     }
 
     /// Dial a peer bidirectionally: like [`dial`](Self::dial), but
     /// frames the peer sends back are delivered too (request/reply
     /// clients such as the registry client).
-    pub fn dial_bidi(&self, addr: &str, delivery: Delivery) -> Result<Sender<Message>> {
+    pub fn dial_bidi(&self, addr: &str, delivery: Delivery) -> Result<MsgSender> {
         self.dial_with_delivery(addr, Some(delivery))
     }
 
-    fn dial_with_delivery(
-        &self,
-        addr: &str,
-        delivery: Option<Delivery>,
-    ) -> Result<Sender<Message>> {
+    fn dial_with_delivery(&self, addr: &str, delivery: Option<Delivery>) -> Result<MsgSender> {
         let sock_addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| Error::Malformed(format!("unresolvable address {addr}")))?;
-        let stream = TcpStream::connect_timeout(&sock_addr, self.config.timeouts.connect)?;
-        let (tx, rx) = bounded(self.config.outbox_capacity);
-        self.register(stream, Some(rx), delivery)?;
-        Ok(tx)
-    }
-
-    /// Hand an already-connected socket to the reactor.
-    pub fn register(
-        &self,
-        stream: TcpStream,
-        outbox: Option<Receiver<Message>>,
-        delivery: Option<Delivery>,
-    ) -> Result<ConnId> {
+        let stream = TcpStream::connect_timeout(&sock_addr, self.shared.config.timeouts.connect)?;
+        let (tx, rx) = bounded(self.shared.config.outbox_capacity);
         let (reply_tx, reply_rx) = bounded(1);
         self.send_cmd(Cmd::Register {
             stream,
-            outbox,
+            outbox: Some(rx),
             delivery,
             reply: reply_tx,
         })?;
-        reply_rx.recv().map_err(|_| Error::Closed)?
+        reply_rx.recv().map_err(|_| Error::Closed)??;
+        Ok(MsgSender::waking(tx, Arc::clone(&self.shared.waker)))
     }
 
     /// Queue a message for writing on an accepted connection (the
@@ -203,26 +278,18 @@ impl ReactorHandle {
 
     /// Stop the reactor thread, dropping every connection.
     pub fn shutdown(&self) {
-        let _ = self.cmd.send(Cmd::Shutdown);
-        if let Some(h) = self.thread.lock().expect("reactor thread lock").take() {
-            let _ = h.join();
-        }
+        self.shared.shutdown();
     }
 
     fn send_cmd(&self, cmd: Cmd) -> Result<()> {
-        self.cmd.send(cmd).map_err(|_| Error::Closed)
+        self.shared.cmd.send(cmd).map_err(|_| Error::Closed)?;
+        self.shared.waker.wake();
+        Ok(())
     }
 }
 
-struct ConnState {
-    conn: FramedConn,
-    outbox: Option<Receiver<Message>>,
-    delivery: Option<Delivery>,
-    /// Outbox disconnected; close once the write queue drains.
-    closing: bool,
-}
-
 struct Metrics {
+    wakeups: Counter,
     events: Counter,
     frames_sent: Counter,
     frames_received: Counter,
@@ -234,6 +301,7 @@ struct Metrics {
 impl Metrics {
     fn new(telemetry: &Telemetry) -> Self {
         Metrics {
+            wakeups: telemetry.counter(names::REACTOR_WAKEUPS, &[]),
             events: telemetry.counter(names::REACTOR_EVENTS, &[]),
             frames_sent: telemetry.counter(names::REACTOR_FRAMES_SENT, &[]),
             frames_received: telemetry.counter(names::REACTOR_FRAMES_RECEIVED, &[]),
@@ -244,8 +312,8 @@ impl Metrics {
     }
 }
 
-/// The sweep loop. Construct with [`Reactor::spawn`]; interact through
-/// the returned [`ReactorHandle`].
+/// The readiness loop. Construct with [`Reactor::spawn`]; interact
+/// through the returned [`ReactorHandle`].
 #[derive(Debug)]
 pub struct Reactor;
 
@@ -255,268 +323,371 @@ impl Reactor {
     #[must_use]
     pub fn spawn(config: ReactorConfig, telemetry: Option<&Telemetry>) -> ReactorHandle {
         let (cmd_tx, cmd_rx) = unbounded();
-        let metrics = telemetry.map(Metrics::new);
-        let cfg = config.clone();
-        let handle = std::thread::Builder::new()
+        let waker = Arc::new(Waker::new().expect("create the reactor's wake socket pair"));
+        let epoll = Epoll::new().expect("create the reactor's epoll instance");
+        epoll
+            .add(waker.rx.as_raw_fd(), WAKE_TOKEN, READABLE)
+            .expect("register the reactor's wake handle");
+        let event_loop = Loop {
+            cmd_rx,
+            waker: Arc::clone(&waker),
+            listeners: Vec::new(),
+            conns: Vec::new(),
+            next_id: 0,
+            ctx: Ctx {
+                epoll,
+                writer_queue_limit: config.writer_queue_limit,
+                scratch: BytesMut::new(),
+                segments: Vec::new(),
+                read_buf: vec![0u8; 64 * 1024],
+                frames: Vec::new(),
+                metrics: telemetry.map(Metrics::new),
+                events: 0,
+                queued: 0,
+                any_dead: false,
+            },
+        };
+        let thread = std::thread::Builder::new()
             .name("swing-reactor".into())
-            .spawn(move || run(cfg, cmd_rx, metrics))
+            .spawn(move || event_loop.run())
             .expect("spawn reactor thread");
         ReactorHandle {
-            cmd: cmd_tx,
-            config,
-            thread: Arc::new(Mutex::new(Some(handle))),
+            shared: Arc::new(Shared {
+                cmd: cmd_tx,
+                waker,
+                config,
+                thread: Mutex::new(Some(thread)),
+            }),
         }
     }
 }
 
-fn run(config: ReactorConfig, cmd_rx: Receiver<Cmd>, metrics: Option<Metrics>) {
-    let mut listeners: Vec<(TcpListener, Delivery)> = Vec::new();
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    let mut next_id: u64 = 0;
-    let mut scratch = BytesMut::new();
-    let mut segments: Vec<WireSegment> = Vec::new();
-    let mut read_buf = vec![0u8; 64 * 1024];
-    let mut frames: Vec<swing_core::SharedBytes> = Vec::new();
-    let mut closed: Vec<u64> = Vec::new();
-    let mut backoff = Duration::from_micros(500);
-    let mut busy = true;
+/// Epoll token of the wake handle. Connections register under their
+/// id, listeners under `LISTENER | index`; ids count up from zero and
+/// never get near either.
+const WAKE_TOKEN: u64 = u64::MAX;
+const LISTENER: u64 = 1 << 63;
 
-    loop {
-        // 1. Commands. Park here when the previous sweep found nothing.
-        let park = if busy { Duration::ZERO } else { backoff };
-        match cmd_rx.recv_timeout(park) {
-            Ok(cmd) => {
-                if handle_cmd(
-                    cmd,
-                    &config,
-                    &mut listeners,
-                    &mut conns,
-                    &mut next_id,
-                    &mut scratch,
-                    &mut segments,
-                ) {
+/// What servicing a connection needs besides the connection itself:
+/// the epoll set, codec scratch space reused across frames, and the
+/// counters.
+struct Ctx {
+    epoll: Epoll,
+    writer_queue_limit: usize,
+    scratch: BytesMut,
+    segments: Vec<WireSegment>,
+    read_buf: Vec<u8>,
+    frames: Vec<SharedBytes>,
+    metrics: Option<Metrics>,
+    /// Events serviced since the last flush into `metrics`.
+    events: u64,
+    /// Frames sitting in write queues, over all connections.
+    queued: u64,
+    /// Some connection was marked dead since the last `reap`.
+    any_dead: bool,
+}
+
+impl Ctx {
+    fn enqueue(&mut self, io: &mut FramedConn, msg: &Message) {
+        io.enqueue(OutFrame::encode(msg, &mut self.scratch, &mut self.segments));
+        self.queued += 1;
+    }
+}
+
+struct Conn {
+    id: u64,
+    io: FramedConn,
+    outbox: Option<Receiver<Message>>,
+    delivery: Option<Delivery>,
+    /// Outbox disconnected; close once the write queue drains.
+    closing: bool,
+    /// Registered for writability as well as readability.
+    polling_write: bool,
+    /// Reaped at the end of the current pass.
+    dead: bool,
+}
+
+impl Conn {
+    fn kill(&mut self, ctx: &mut Ctx) {
+        self.dead = true;
+        ctx.any_dead = true;
+    }
+
+    /// Refill the write queue from the outbox while it is short, write
+    /// until the socket blocks or the queue drains, and ask for
+    /// writability exactly when it blocked. A socket that blocked
+    /// earlier is not tried again until the kernel reports it
+    /// `writable`. Returns `true` when the refill stopped at the queue
+    /// limit and the socket then took everything: the outbox may hold
+    /// more, and no wake-up or writability report will say so.
+    fn pump(&mut self, ctx: &mut Ctx, writable: bool) -> bool {
+        let mut at_limit = false;
+        if let Some(outbox) = &self.outbox {
+            loop {
+                if self.io.queue_len() >= ctx.writer_queue_limit {
+                    at_limit = true;
                     break;
                 }
+                match outbox.try_recv() {
+                    Ok(msg) => {
+                        ctx.enqueue(&mut self.io, &msg);
+                        ctx.events += 1;
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        self.closing = true;
+                        self.outbox = None;
+                        break;
+                    }
+                }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
-        let mut drained_all_cmds = false;
-        while !drained_all_cmds {
-            match cmd_rx.try_recv() {
-                Ok(cmd) => {
-                    if handle_cmd(
-                        cmd,
-                        &config,
-                        &mut listeners,
-                        &mut conns,
-                        &mut next_id,
-                        &mut scratch,
-                        &mut segments,
-                    ) {
+        if self.io.write_blocked() && !writable {
+            return false;
+        }
+        match self.io.drain_write() {
+            Ok((done, _)) => {
+                ctx.events += done;
+                ctx.queued -= done;
+                if let Some(m) = &ctx.metrics {
+                    m.frames_sent.add(done);
+                }
+                if self.closing && self.io.queue_len() == 0 {
+                    self.kill(ctx);
+                }
+            }
+            Err(_) => self.kill(ctx),
+        }
+        let blocked = self.io.write_blocked();
+        if blocked != self.polling_write && !self.dead {
+            let interest = if blocked {
+                READABLE | WRITABLE
+            } else {
+                READABLE
+            };
+            if ctx.epoll.modify(self.io.fd(), self.id, interest).is_err() {
+                self.kill(ctx);
+            }
+            self.polling_write = blocked;
+        }
+        at_limit && !blocked && !self.dead
+    }
+
+    /// Read whatever the kernel has, decode and deliver it.
+    fn read(&mut self, ctx: &mut Ctx) {
+        ctx.frames.clear();
+        let result = self.io.drain_read(&mut ctx.read_buf, &mut ctx.frames);
+        ctx.events += ctx.frames.len() as u64;
+        if let Some(m) = &ctx.metrics {
+            m.frames_received.add(ctx.frames.len() as u64);
+        }
+        // An undecodable peer, or a consumer that went away: drop the
+        // connection.
+        let delivered = ctx.frames.drain(..).all(|frame| {
+            Message::decode_shared(&frame).is_ok_and(|msg| match &self.delivery {
+                Some(Delivery::Inbox(tx)) => tx.send(msg).is_ok(),
+                Some(Delivery::Service(tx)) => {
+                    tx.send(ConnEvent::Message(ConnId(self.id), msg)).is_ok()
+                }
+                // Write-only connection: inbound frames have nowhere
+                // to go; ignore them.
+                None => true,
+            })
+        });
+        // Anything but "the socket has no more for now" is EOF or a
+        // socket error.
+        if !delivered || !matches!(result, Ok(Drain::Blocked)) {
+            self.kill(ctx);
+        }
+    }
+}
+
+/// How long the loop stands still after `accept` fails for a reason
+/// other than an empty backlog (descriptor or memory exhaustion). The
+/// listener stays readable throughout, so without the pause the loop
+/// would spin until the shortage passes.
+const ACCEPT_RETRY: Duration = Duration::from_millis(1);
+
+struct Loop {
+    cmd_rx: Receiver<Cmd>,
+    waker: Arc<Waker>,
+    /// Never shrinks: a listener's index is its epoll token.
+    listeners: Vec<(TcpListener, Delivery)>,
+    /// Ascending by id (ids only grow), so an id is found by bisection.
+    conns: Vec<Conn>,
+    next_id: u64,
+    ctx: Ctx,
+}
+
+impl Loop {
+    fn run(mut self) {
+        let mut events = [Event::default(); 256];
+        // A pass left work that nothing will announce (see
+        // `Conn::pump`): look again without sleeping.
+        let mut rescan = false;
+        loop {
+            if let Some(m) = &self.ctx.metrics {
+                m.events.add(std::mem::take(&mut self.ctx.events));
+                m.open_conns.set_u64(self.conns.len() as u64);
+                m.writer_queue_depth.set_u64(self.ctx.queued);
+            }
+            let Ok(ready) = self.ctx.epoll.wait(&mut events, !rescan) else {
+                return; // the epoll instance is unusable; nothing to run on
+            };
+            if let Some(m) = &self.ctx.metrics {
+                m.wakeups.inc();
+            }
+
+            // 1. What the kernel reported.
+            let mut woken = std::mem::take(&mut rescan);
+            for event in &events[..ready] {
+                let token = event.token();
+                if token == WAKE_TOKEN {
+                    self.waker.reset();
+                    woken = true;
+                } else if token & LISTENER != 0 {
+                    self.accept((token & !LISTENER) as usize);
+                } else if let Some(conn) = find(&mut self.conns, token) {
+                    if event.writable() && !conn.dead {
+                        rescan |= conn.pump(&mut self.ctx, true);
+                    }
+                    if event.readable() && !conn.dead {
+                        conn.read(&mut self.ctx);
+                    }
+                }
+            }
+
+            // 2. What it cannot see: commands and outboxes.
+            if woken {
+                while let Ok(cmd) = self.cmd_rx.try_recv() {
+                    if self.handle_cmd(cmd) {
                         return;
                     }
                 }
-                Err(_) => drained_all_cmds = true,
+                for conn in &mut self.conns {
+                    let pending = conn.outbox.is_some() || conn.io.queue_len() > 0;
+                    if pending && !conn.dead {
+                        rescan |= conn.pump(&mut self.ctx, false);
+                    }
+                }
             }
+
+            self.reap();
         }
+    }
 
-        let mut events: u64 = 0;
+    /// Take a socket into the loop and the epoll set.
+    fn add_conn(
+        &mut self,
+        stream: TcpStream,
+        outbox: Option<Receiver<Message>>,
+        delivery: Option<Delivery>,
+    ) -> Result<ConnId> {
+        let io = FramedConn::new(stream)?;
+        let id = self.next_id;
+        self.ctx.epoll.add(io.fd(), id, READABLE)?;
+        self.next_id += 1;
+        self.conns.push(Conn {
+            id,
+            io,
+            outbox,
+            delivery,
+            closing: false,
+            polling_write: false,
+            dead: false,
+        });
+        Ok(ConnId(id))
+    }
 
-        // 2. Accept.
-        for (listener, delivery) in &listeners {
-            loop {
-                match listener.accept() {
+    fn accept(&mut self, listener: usize) {
+        loop {
+            match self.listeners[listener].0.accept() {
+                Ok((stream, _)) => {
                     // A failed setup means the peer vanished between
                     // accept and fcntl; skip it.
-                    Ok((stream, _)) => {
-                        if let Ok(conn) = FramedConn::new(stream) {
-                            let id = next_id;
-                            next_id += 1;
-                            conns.insert(
-                                id,
-                                ConnState {
-                                    conn,
-                                    outbox: None,
-                                    delivery: Some(delivery.clone()),
-                                    closing: false,
-                                },
-                            );
-                            events += 1;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break, // transient accept failure; retry next sweep
-                }
-            }
-        }
-
-        // 3. Per-connection sweep.
-        closed.clear();
-        let mut queued_total: u64 = 0;
-        for (&id, state) in conns.iter_mut() {
-            // 3a. Refill the write queue from the outbox while short.
-            if let Some(outbox) = &state.outbox {
-                while state.conn.queue_len() < config.writer_queue_limit {
-                    match outbox.try_recv() {
-                        Ok(msg) => {
-                            state
-                                .conn
-                                .enqueue(OutFrame::encode(&msg, &mut scratch, &mut segments));
-                            events += 1;
-                        }
-                        Err(crossbeam::channel::TryRecvError::Empty) => break,
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                            state.closing = true;
-                            state.outbox = None;
-                            break;
-                        }
+                    let delivery = self.listeners[listener].1.clone();
+                    if self.add_conn(stream, None, Some(delivery)).is_ok() {
+                        self.ctx.events += 1;
                     }
                 }
-            }
-
-            // 3b. Write.
-            match state.conn.drain_write() {
-                Ok((done, drain)) => {
-                    if done > 0 {
-                        events += done;
-                        if let Some(m) = &metrics {
-                            m.frames_sent.add(done);
-                        }
-                    }
-                    if state.closing && drain == Drain::Idle && state.conn.queue_len() == 0 {
-                        closed.push(id);
-                        continue;
-                    }
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(_) => {
-                    closed.push(id);
-                    continue;
+                    std::thread::sleep(ACCEPT_RETRY);
+                    return;
                 }
-            }
-
-            // 3c. Read.
-            frames.clear();
-            let read_result = state.conn.drain_read(&mut read_buf, &mut frames);
-            if !frames.is_empty() {
-                events += frames.len() as u64;
-                if let Some(m) = &metrics {
-                    m.frames_received.add(frames.len() as u64);
-                }
-                for frame in frames.drain(..) {
-                    let Ok(msg) = Message::decode_shared(&frame) else {
-                        // Undecodable peer: drop the connection.
-                        closed.push(id);
-                        break;
-                    };
-                    let delivered = match &state.delivery {
-                        Some(Delivery::Inbox(tx)) => tx.send(msg).is_ok(),
-                        Some(Delivery::Service(tx)) => {
-                            tx.send(ConnEvent::Message(ConnId(id), msg)).is_ok()
-                        }
-                        // Write-only connection: inbound frames have
-                        // nowhere to go; ignore them.
-                        None => true,
-                    };
-                    if !delivered {
-                        closed.push(id);
-                        break;
-                    }
-                }
-            }
-            match read_result {
-                Ok(Drain::Eof) | Err(_) => closed.push(id),
-                Ok(_) => {}
-            }
-            queued_total += state.conn.queue_len() as u64;
-        }
-
-        // 4. Reap closed connections.
-        closed.sort_unstable();
-        closed.dedup();
-        for id in closed.drain(..) {
-            if let Some(state) = conns.remove(&id) {
-                if let Some(Delivery::Service(tx)) = &state.delivery {
-                    let _ = tx.send(ConnEvent::Closed(ConnId(id)));
-                }
-                if let Some(m) = &metrics {
-                    m.conns_closed.inc();
-                }
-                events += 1;
             }
         }
+    }
 
-        if let Some(m) = &metrics {
-            if events > 0 {
-                m.events.add(events);
+    /// Apply one command. Returns `true` on shutdown.
+    fn handle_cmd(&mut self, cmd: Cmd) -> bool {
+        match cmd {
+            Cmd::Listen {
+                listener,
+                delivery,
+                reply,
+            } => {
+                let token = LISTENER | self.listeners.len() as u64;
+                let added = self.ctx.epoll.add(listener.as_raw_fd(), token, READABLE);
+                if added.is_ok() {
+                    self.listeners.push((listener, delivery));
+                }
+                let _ = reply.send(added.map_err(Error::from));
             }
-            m.open_conns.set_u64(conns.len() as u64);
-            m.writer_queue_depth.set_u64(queued_total);
+            Cmd::Register {
+                stream,
+                outbox,
+                delivery,
+                reply,
+            } => {
+                let _ = reply.send(self.add_conn(stream, outbox, delivery));
+            }
+            // Queued here, written by the pass over the connections
+            // that follows the commands (one write for a batch).
+            Cmd::SendTo(ConnId(id), msg) => {
+                if let Some(conn) = find(&mut self.conns, id) {
+                    self.ctx.enqueue(&mut conn.io, &msg);
+                }
+            }
+            Cmd::Close(ConnId(id)) => {
+                if let Some(conn) = find(&mut self.conns, id) {
+                    conn.kill(&mut self.ctx);
+                }
+            }
+            Cmd::Shutdown => return true,
         }
+        false
+    }
 
-        // 5. Adaptive idle backoff.
-        busy = events > 0;
-        if busy {
-            backoff = Duration::from_micros(500);
-        } else {
-            backoff = (backoff * 2).min(config.idle_backoff_max);
+    /// Drop every connection marked dead — the one way a connection
+    /// leaves the reactor, so `conns_closed` counts exactly the
+    /// `Closed` tombstones a `Delivery::Service` consumer can see.
+    /// Closing the socket also takes it out of the epoll set.
+    fn reap(&mut self) {
+        if !std::mem::take(&mut self.ctx.any_dead) {
+            return;
         }
+        let ctx = &mut self.ctx;
+        self.conns.retain(|conn| {
+            if !conn.dead {
+                return true;
+            }
+            if let Some(Delivery::Service(tx)) = &conn.delivery {
+                let _ = tx.send(ConnEvent::Closed(ConnId(conn.id)));
+            }
+            if let Some(m) = &ctx.metrics {
+                m.conns_closed.inc();
+            }
+            ctx.events += 1;
+            ctx.queued -= conn.io.queue_len() as u64;
+            false
+        });
     }
 }
 
-/// Apply one command. Returns `true` on shutdown.
-fn handle_cmd(
-    cmd: Cmd,
-    _config: &ReactorConfig,
-    listeners: &mut Vec<(TcpListener, Delivery)>,
-    conns: &mut HashMap<u64, ConnState>,
-    next_id: &mut u64,
-    scratch: &mut BytesMut,
-    segments: &mut Vec<WireSegment>,
-) -> bool {
-    match cmd {
-        Cmd::Listen(listener, delivery) => {
-            listeners.push((listener, delivery));
-        }
-        Cmd::Register {
-            stream,
-            outbox,
-            delivery,
-            reply,
-        } => {
-            let result = FramedConn::new(stream).map(|conn| {
-                let id = *next_id;
-                *next_id += 1;
-                conns.insert(
-                    id,
-                    ConnState {
-                        conn,
-                        outbox,
-                        delivery,
-                        closing: false,
-                    },
-                );
-                ConnId(id)
-            });
-            let _ = reply.send(result);
-        }
-        Cmd::SendTo(ConnId(id), msg) => {
-            if let Some(state) = conns.get_mut(&id) {
-                state
-                    .conn
-                    .enqueue(OutFrame::encode(&msg, scratch, segments));
-            }
-        }
-        Cmd::Close(ConnId(id)) => {
-            if let Some(state) = conns.remove(&id) {
-                if let Some(Delivery::Service(tx)) = &state.delivery {
-                    let _ = tx.send(ConnEvent::Closed(ConnId(id)));
-                }
-            }
-        }
-        Cmd::Shutdown => return true,
-    }
-    false
+fn find(conns: &mut [Conn], id: u64) -> Option<&mut Conn> {
+    let at = conns.binary_search_by_key(&id, |c| c.id).ok()?;
+    Some(&mut conns[at])
 }
 
 #[cfg(test)]
@@ -536,7 +707,9 @@ mod tests {
     fn dialed_messages_reach_inbox_listener() {
         let reactor = Reactor::spawn(ReactorConfig::default(), None);
         let (tx, rx) = unbounded();
-        let addr = reactor.listen("127.0.0.1:0", Delivery::Inbox(tx)).unwrap();
+        let addr = reactor
+            .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
+            .unwrap();
         let out = reactor.dial(&addr).unwrap();
         for i in 0..100 {
             out.send(data(i)).unwrap();
@@ -576,7 +749,9 @@ mod tests {
             }
         });
         let (reply_tx, reply_rx) = unbounded();
-        let out = reactor.dial_bidi(&addr, Delivery::Inbox(reply_tx)).unwrap();
+        let out = reactor
+            .dial_bidi(&addr, Delivery::Inbox(reply_tx.into()))
+            .unwrap();
         out.send(Message::Ping).unwrap();
         let reply = reply_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(
@@ -598,7 +773,9 @@ mod tests {
         };
         let reactor = Reactor::spawn(config, None);
         let (tx, rx) = unbounded();
-        let addr = reactor.listen("127.0.0.1:0", Delivery::Inbox(tx)).unwrap();
+        let addr = reactor
+            .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
+            .unwrap();
         let out = reactor.dial(&addr).unwrap();
         // The reactor keeps draining, so sends never deadlock; but the
         // channel is bounded, so at any instant at most
@@ -617,7 +794,9 @@ mod tests {
     fn many_concurrent_conns_multiplex_on_one_thread() {
         let reactor = Reactor::spawn(ReactorConfig::default(), None);
         let (tx, rx) = unbounded();
-        let addr = reactor.listen("127.0.0.1:0", Delivery::Inbox(tx)).unwrap();
+        let addr = reactor
+            .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
+            .unwrap();
         let senders: Vec<_> = (0..50).map(|_| reactor.dial(&addr).unwrap()).collect();
         for (k, s) in senders.iter().enumerate() {
             for i in 0..20 {

@@ -20,7 +20,7 @@
 //! — and proves the retransmission layer closes the gap.
 
 use crate::clock::global_clock;
-use crate::fabric::{MsgReceiver, MsgSender};
+use crate::fabric::MsgSender;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -279,7 +279,7 @@ pub(crate) fn spawn_link_shim(
     inner_tx: MsgSender,
     shared: Arc<ChaosShared>,
 ) -> MsgSender {
-    let (tx, rx): (MsgSender, MsgReceiver) = crossbeam::channel::unbounded();
+    let (tx, rx) = crossbeam::channel::unbounded();
     let faults = shared.plan.faults_for(addr);
     let mut rng = DetRng::seed_from_u64(link_seed(shared.plan.seed, addr));
     let addr = addr.to_owned();
@@ -323,13 +323,13 @@ pub(crate) fn spawn_link_shim(
             }
         })
         .expect("spawn chaos shim thread");
-    tx
+    tx.into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
+    use crate::fabric::{Fabric, MsgReceiver};
     use swing_core::{Tuple, UnitId};
 
     fn data(i: u64) -> Message {

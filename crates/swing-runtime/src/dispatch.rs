@@ -1382,7 +1382,7 @@ mod tests {
 
         // The connection lands: dispatch resumes in order.
         let (tx, rx) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx);
+        out.add_downstream(UnitId(1), tx.into());
         assert!(out.pending.is_empty());
         assert_eq!(out.delivery().sent, 2);
         let seqs: Vec<u64> = rx
@@ -1402,7 +1402,7 @@ mod tests {
     fn evicted_downstream_tuples_are_rerouted_to_survivors() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         let (tx_a, rx_a) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx_a);
+        out.add_downstream(UnitId(1), tx_a.into());
         for i in 0..5 {
             out.dispatch(tuple(i));
         }
@@ -1413,7 +1413,7 @@ mod tests {
         // A survivor joins, then the original downstream is evicted
         // (heartbeat prune): every unACKed tuple must reach the survivor.
         let (tx_b, rx_b) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(2), tx_b);
+        out.add_downstream(UnitId(2), tx_b.into());
         let orphans = out.remove_downstream(UnitId(1));
         out.flush_pending();
         assert_eq!(orphans.len(), 5, "every in-flight seq is reported");
@@ -1440,12 +1440,12 @@ mod tests {
         out.enable_loss_log();
         let (tx_a, _rx_a) = crossbeam::channel::unbounded();
         let (tx_b, _rx_b) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx_a);
+        out.add_downstream(UnitId(1), tx_a.into());
         for i in 0..4 {
             out.dispatch(tuple(i));
         }
         assert_eq!(out.inflight.len(), 0, "no retention when disabled");
-        out.add_downstream(UnitId(2), tx_b);
+        out.add_downstream(UnitId(2), tx_b.into());
         out.remove_downstream(UnitId(1));
         assert_eq!(out.delivery().lost, 4);
         let mut lost = out.take_lost_seqs();
@@ -1459,7 +1459,7 @@ mod tests {
     fn gated_link_pauses_and_resumes_in_order() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         let (tx, rx) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx);
+        out.add_downstream(UnitId(1), tx.into());
         out.set_link_up(UnitId(1), false);
         for i in 0..3 {
             out.dispatch(tuple(i));
@@ -1488,7 +1488,7 @@ mod tests {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_paced(true);
         let (tx, rx) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx);
+        out.add_downstream(UnitId(1), tx.into());
         for i in 0..3 {
             out.dispatch(tuple(i));
         }
@@ -1517,7 +1517,7 @@ mod tests {
 
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         let (tx, rx) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx);
+        out.add_downstream(UnitId(1), tx.into());
 
         let frame = SharedBytes::from_vec(vec![7u8; 6000]);
         assert_eq!(frame.ref_count(), 1);
@@ -1568,7 +1568,7 @@ mod tests {
         };
         let mut out = Dispatcher::new(UnitId(0), &cfg);
         let (tx, rx) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx);
+        out.add_downstream(UnitId(1), tx.into());
 
         vclock.advance_to(5_000_000);
         out.dispatch(tuple(0));
@@ -1603,8 +1603,8 @@ mod tests {
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));
         let (tx_a, rx_a) = crossbeam::channel::unbounded();
         let (tx_b, rx_b) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx_a);
-        out.add_downstream(UnitId(2), tx_b);
+        out.add_downstream(UnitId(1), tx_a.into());
+        out.add_downstream(UnitId(2), tx_b.into());
 
         for seq in 0..64 {
             out.dispatch(keyed_tuple(seq, i64::try_from(seq % 8).unwrap()));
@@ -1632,8 +1632,8 @@ mod tests {
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));
         let (tx_a, rx_a) = crossbeam::channel::unbounded();
         let (tx_b, rx_b) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx_a);
-        out.add_downstream(UnitId(2), tx_b);
+        out.add_downstream(UnitId(1), tx_a.into());
+        out.add_downstream(UnitId(2), tx_b.into());
         for seq in 0..32 {
             out.dispatch(keyed_tuple(seq, i64::try_from(seq % 16).unwrap()));
         }
@@ -1661,8 +1661,8 @@ mod tests {
         out.set_edge_kind(&EdgeKind::Rebalance);
         let (tx_a, rx_a) = crossbeam::channel::unbounded();
         let (tx_b, rx_b) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx_a);
-        out.add_downstream(UnitId(2), tx_b);
+        out.add_downstream(UnitId(1), tx_a.into());
+        out.add_downstream(UnitId(2), tx_b.into());
         for seq in 0..10 {
             out.dispatch(tuple(seq));
         }
@@ -1678,7 +1678,7 @@ mod tests {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));
         let (tx_a, _rx_a) = crossbeam::channel::unbounded();
-        out.add_downstream(UnitId(1), tx_a);
+        out.add_downstream(UnitId(1), tx_a.into());
         out.dispatch(keyed_tuple(0, 7));
         assert_eq!(out.keyed_stats().expect("keyed").0, 1);
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));

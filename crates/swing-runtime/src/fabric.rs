@@ -9,7 +9,7 @@
 //! transport-agnostic.
 
 use crate::chaos::{ChaosControl, ChaosShared, FaultPlan};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -21,8 +21,9 @@ use swing_net::{LinkMetrics, Message, NetTimeouts};
 use swing_reactor::{Delivery, Reactor, ReactorConfig, ReactorHandle};
 use swing_telemetry::Telemetry;
 
-/// Sending half of a message pipe.
-pub type MsgSender = Sender<Message>;
+/// Sending half of a message pipe: a plain channel sender on in-proc,
+/// sim and chaos links; on a reactor link it also wakes the reactor.
+pub use swing_reactor::MsgSender;
 /// Receiving half of a message pipe.
 pub type MsgReceiver = Receiver<Message>;
 
@@ -50,8 +51,8 @@ pub enum Fabric {
     Tcp(Arc<TcpNet>),
     /// Non-blocking TCP multiplexed on one reactor thread
     /// (see [`swing_reactor`]): the thread-per-link model of
-    /// [`Tcp`](Fabric::Tcp) replaced by a single sweep loop, which is
-    /// what lets one process hold a thousand worker links.
+    /// [`Tcp`](Fabric::Tcp) replaced by a single readiness loop, which
+    /// is what lets one process hold a thousand worker links.
     Reactor(Arc<ReactorNet>),
     /// Any fabric wrapped in deterministic fault injection
     /// (see [`crate::chaos`]).
@@ -90,7 +91,7 @@ pub struct ReactorNet {
 
 impl ReactorNet {
     /// The underlying reactor handle (for attaching registry services
-    /// or extra listeners on the same sweep loop).
+    /// or extra listeners on the same loop).
     #[must_use]
     pub fn handle(&self) -> &ReactorHandle {
         &self.handle
@@ -212,7 +213,7 @@ impl Fabric {
                 let (tx, rx) = unbounded();
                 let id = net.next_id.fetch_add(1, Ordering::Relaxed);
                 let addr = format!("inproc:{id}");
-                net.endpoints.lock().insert(addr.clone(), tx);
+                net.endpoints.lock().insert(addr.clone(), tx.into());
                 Ok((addr, rx))
             }
             Fabric::Tcp(net) => {
@@ -222,13 +223,15 @@ impl Fabric {
                 let net = Arc::clone(net);
                 std::thread::Builder::new()
                     .name(format!("swing-accept-{addr}"))
-                    .spawn(move || accept_loop(&listener, &tx, &net))
+                    .spawn(move || accept_loop(&listener, &tx.into(), &net))
                     .expect("spawn accept thread");
                 Ok((addr, rx))
             }
             Fabric::Reactor(net) => {
                 let (tx, rx) = unbounded();
-                let addr = net.handle.listen("127.0.0.1:0", Delivery::Inbox(tx))?;
+                let addr = net
+                    .handle
+                    .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))?;
                 Ok((addr, rx))
             }
             // Faults are injected on the dial side; listening is clean.
@@ -270,10 +273,10 @@ impl Fabric {
                         stream.shutdown();
                     })
                     .expect("spawn writer thread");
-                Ok(tx)
+                Ok(tx.into())
             }
-            // No writer thread: the reactor's sweep loop drains the
-            // bounded outbox, so a thousand links cost one thread total.
+            // No writer thread: the reactor drains the bounded outbox,
+            // so a thousand links cost one thread total.
             Fabric::Reactor(net) => net.handle.dial(addr),
             Fabric::Chaos(net) => {
                 let inner_tx = net.inner.dial(addr)?;

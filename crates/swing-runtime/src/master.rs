@@ -139,7 +139,9 @@ struct WorkerInfo {
 /// Shared view of the master's progress.
 #[derive(Debug, Default)]
 pub struct MasterStatus {
-    started: AtomicBool,
+    // std, not parking_lot: the pair must come with a condvar.
+    started: std::sync::Mutex<bool>,
+    started_changed: std::sync::Condvar,
     deployment: Mutex<Deployment>,
     epoch: AtomicU64,
     dead_workers: Mutex<Vec<String>>,
@@ -150,7 +152,30 @@ impl MasterStatus {
     /// Whether Start has been broadcast.
     #[must_use]
     pub fn started(&self) -> bool {
-        self.started.load(Ordering::SeqCst)
+        *self.started_flag()
+    }
+
+    /// Block until Start has been broadcast, for at most `timeout`.
+    /// Returns whether it has.
+    #[must_use]
+    pub fn wait_started(&self, timeout: Duration) -> bool {
+        let (started, _) = self
+            .started_changed
+            .wait_timeout_while(self.started_flag(), timeout, |started| !*started)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *started
+    }
+
+    fn set_started(&self, started: bool) {
+        *self.started_flag() = started;
+        self.started_changed.notify_all();
+    }
+
+    fn started_flag(&self) -> std::sync::MutexGuard<'_, bool> {
+        // A bool is valid whatever a panicking holder was doing.
+        self.started
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Snapshot of the current deployment.
@@ -647,7 +672,7 @@ impl MasterState {
                 self.reconcile();
                 self.broadcast(&Message::Start);
                 self.started = true;
-                self.status.started.store(true, Ordering::SeqCst);
+                self.status.set_started(true);
             }
         } else {
             // Late joiner (Fig. 9): activate replicas on it and splice
@@ -855,7 +880,7 @@ impl MasterState {
         self.epoch = ck.epoch + 1;
         self.next_device = ck.next_device;
         self.started = ck.started;
-        self.status.started.store(ck.started, Ordering::SeqCst);
+        self.status.set_started(ck.started);
         for (u, s, d) in ck.units {
             self.deployment.restore(u, s, d);
         }

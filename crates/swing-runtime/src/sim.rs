@@ -236,7 +236,7 @@ impl SimFabric {
         let mut s = self.state.lock();
         let addr = format!("sim:{}", s.next_addr);
         s.next_addr += 1;
-        s.inboxes.insert(addr.clone(), tx);
+        s.inboxes.insert(addr.clone(), tx.into());
         (addr, rx)
     }
 
@@ -266,7 +266,7 @@ impl SimFabric {
             rng: DetRng::seed_from_u64(seed),
             cfg,
         });
-        Ok(tx)
+        Ok(tx.into())
     }
 
     /// Drain every link and turn the messages in transit into scheduled

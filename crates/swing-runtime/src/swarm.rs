@@ -44,7 +44,7 @@ use crate::fabric::Fabric;
 use crate::master::{Master, MasterConfig, Placement};
 use crate::node::WorkerNode;
 use crate::registry::UnitRegistry;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use swing_core::config::{ReorderConfig, RetryConfig};
 use swing_core::flow::FlowConfig;
 use swing_core::graph::AppGraph;
@@ -174,7 +174,7 @@ impl LocalSwarmBuilder {
     }
 
     /// Use the non-blocking reactor fabric: loopback TCP multiplexed on
-    /// one [`swing_reactor`] sweep thread instead of two threads per
+    /// one [`swing_reactor`] thread instead of two threads per
     /// link, the configuration that scales a single process to
     /// 1000-worker swarms. Reactor metrics land in the swarm's
     /// telemetry domain.
@@ -280,13 +280,8 @@ impl LocalSwarmBuilder {
                 node_config.clone(),
             )?);
         }
-        let status = master.status();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !status.started() {
-            if Instant::now() > deadline {
-                return Err(Error::DiscoveryTimeout);
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        if !master.status().wait_started(Duration::from_secs(10)) {
+            return Err(Error::DiscoveryTimeout);
         }
         Ok(LocalSwarm {
             master,

@@ -270,7 +270,7 @@ fn expired_ack_deadline_reroutes_to_another_downstream() {
     let (hole_tx, hole_rx) = crossbeam::channel::unbounded::<Message>();
     src_h.send(ExecMsg::AddDownstream {
         unit: UnitId(1),
-        sender: hole_tx,
+        sender: hole_tx.into(),
         kind: EdgeKind::Broadcast,
     });
     src_h.send(ExecMsg::Start);
@@ -296,7 +296,7 @@ fn expired_ack_deadline_reroutes_to_another_downstream() {
     let (live_tx, live_rx) = crossbeam::channel::unbounded::<Message>();
     src_h.send(ExecMsg::AddDownstream {
         unit: UnitId(2),
-        sender: live_tx,
+        sender: live_tx.into(),
         kind: EdgeKind::Broadcast,
     });
 

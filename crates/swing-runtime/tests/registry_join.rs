@@ -185,11 +185,10 @@ fn lease_expiry_of_killed_worker_triggers_replacement_without_loss() {
         WorkerNode::register_and_spawn("C", fabric.clone(), &join_c, units(None), config).unwrap();
 
     let status = master.status();
-    let deadline = std::time::Instant::now() + Duration::from_secs(8);
-    while !status.started() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(status.started(), "deployment never started");
+    assert!(
+        status.wait_started(Duration::from_secs(8)),
+        "deployment never started"
+    );
     std::thread::sleep(Duration::from_millis(300));
     let epoch_before = status.epoch();
     assert!(status.dead_workers().is_empty());

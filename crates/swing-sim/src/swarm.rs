@@ -429,7 +429,7 @@ impl Swarm {
             if st.active {
                 let (tx, rx) = unbounded();
                 st.wire = Some(rx);
-                disp.add_downstream(unit_of(w), tx);
+                disp.add_downstream(unit_of(w), tx.into());
             } else {
                 queue.schedule(st.spec.join_at_us, Ev::Join { w });
             }
@@ -743,7 +743,7 @@ impl Swarm {
         self.workers[w].active = true;
         let (tx, rx) = unbounded();
         self.workers[w].wire = Some(rx);
-        self.disp.add_downstream(unit_of(w), tx);
+        self.disp.add_downstream(unit_of(w), tx.into());
         self.sync_gate(w);
     }
 

@@ -176,9 +176,13 @@ pub const NET_DECODE_US: &str = "swing_net_decode_us";
 
 // --- reactor (no labels: one reactor per process/domain) ---
 
-/// Readiness events serviced by the reactor's sweep loop (accepted
-/// connections, readable drains, writable drains). Sampled per second
-/// this is the reactor's events/sec rate.
+/// Returns from the reactor's readiness wait. Against
+/// [`REACTOR_EVENTS`] and the frame counters this shows spurious
+/// wake-ups and wake-ups per frame; an idle reactor adds none.
+pub const REACTOR_WAKEUPS: &str = "swing_reactor_wakeups_total";
+/// Events serviced by the reactor's readiness loop (accepted
+/// connections, frames queued, written and read, connections closed).
+/// Sampled per second this is the reactor's events/sec rate.
 pub const REACTOR_EVENTS: &str = "swing_reactor_events_total";
 /// Connections currently registered with the reactor (gauge).
 pub const REACTOR_OPEN_CONNS: &str = "swing_reactor_open_conns";

@@ -1,5 +1,5 @@
 //! Reactor soak: N worker links (default 1000) multiplexed on one
-//! sweep thread, under connection churn and a registry discovery
+//! reactor thread, under connection churn and a registry discovery
 //! storm, with exact frame accounting.
 //!
 //! Every worker dials one framed connection into a collector listener
@@ -45,7 +45,7 @@ const CHURN_EVERY: u64 = 30;
 
 /// Lease timing sized for the fleet, not for a single node: renewals
 /// are batched once a second and the TTL gives four missed beats of
-/// grace, so a busy sweep under the discovery storm doesn't tombstone
+/// grace, so a busy reactor under the discovery storm doesn't tombstone
 /// *live* workers (the soak asserts it doesn't).
 fn soak_timeouts() -> NetTimeouts {
     NetTimeouts {
@@ -142,7 +142,7 @@ fn main() {
     // Collector: every worker connection funnels into this inbox.
     let (col_tx, col_rx) = crossbeam::channel::unbounded();
     let collector_addr = reactor
-        .listen("127.0.0.1:0", Delivery::Inbox(col_tx))
+        .listen("127.0.0.1:0", Delivery::Inbox(col_tx.into()))
         .unwrap();
     let col_shared = Arc::clone(&shared);
     let collector = std::thread::spawn(move || {
@@ -353,6 +353,7 @@ fn main() {
     let frames_sent = snap.counter_total(swing_telemetry::names::REACTOR_FRAMES_SENT);
     let frames_received = snap.counter_total(swing_telemetry::names::REACTOR_FRAMES_RECEIVED);
     let registry_expired = snap.counter_total(swing_telemetry::names::REGISTRY_EXPIRED);
+    let wakeups = snap.counter_total(swing_telemetry::names::REACTOR_WAKEUPS);
 
     let report = format!(
         r#"{{
@@ -375,7 +376,8 @@ fn main() {
   "e2e_p50_us": {ep50},
   "e2e_p99_us": {ep99},
   "reactor_frames_sent": {frames_sent},
-  "reactor_frames_received": {frames_received}
+  "reactor_frames_received": {frames_received},
+  "reactor_wakeups": {wakeups}
 }}
 "#,
         lp50 = percentile(&llat, 0.50),

@@ -11,7 +11,7 @@
 //!
 //! * `live` — the face-recognition swarm on real executor threads under
 //!   a `RealClock`, carried over the reactor fabric (real loopback
-//!   sockets multiplexed on one sweep thread), sampled once per wall
+//!   sockets multiplexed on one reactor thread), sampled once per wall
 //!   second; each frame includes the transport row — open connections,
 //!   framed traffic, the bounded writer-queue backlog, registry leases;
 //! * `sim` — the *same* production data plane replayed under a
@@ -182,9 +182,10 @@ fn render_keyed(snap: &Snapshot) {
 }
 
 /// The transport row, present only when the swarm runs on the reactor
-/// fabric: connection count, framed traffic, the bounded writer-queue
-/// backlog (the credit gate's back-pressure signal), and the registry's
-/// lease churn when a `RegistryServer` shares the process.
+/// fabric: connection count, framed traffic, how often the reactor
+/// thread woke for it, the bounded writer-queue backlog (the credit
+/// gate's back-pressure signal), and the registry's lease churn when a
+/// `RegistryServer` shares the process.
 fn render_net(snap: &Snapshot) {
     let sent = snap.counter_total(names::REACTOR_FRAMES_SENT);
     let recv = snap.counter_total(names::REACTOR_FRAMES_RECEIVED);
@@ -196,8 +197,11 @@ fn render_net(snap: &Snapshot) {
     let depth = snap
         .gauge(names::REACTOR_WRITER_QUEUE_DEPTH, &[])
         .unwrap_or(0.0);
+    let wakeups = snap.counter_total(names::REACTOR_WAKEUPS);
     print!(
-        "net: conns {open:.0} (closed {closed}) | frames tx {sent} rx {recv} | writer queue {depth:.0}"
+        "net: conns {open:.0} (closed {closed}) | frames tx {sent} rx {recv} | \
+         wake-ups {wakeups} ({:.2}/frame) | writer queue {depth:.0}",
+        wakeups as f64 / (sent + recv) as f64
     );
     let leases = snap.gauge(names::REGISTRY_SIZE, &[]);
     if let Some(leases) = leases {

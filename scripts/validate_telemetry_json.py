@@ -30,6 +30,15 @@ class SchemaError(Exception):
     pass
 
 
+REACTOR_COUNTERS = (
+    "swing_reactor_wakeups_total",
+    "swing_reactor_events_total",
+    "swing_reactor_frames_sent_total",
+    "swing_reactor_frames_received_total",
+    "swing_reactor_conns_closed_total",
+)
+
+
 def resolve(schema, root):
     ref = schema.get("$ref")
     if ref is None:
@@ -119,6 +128,13 @@ def semantic_checks(snap):
             raise SchemaError(
                 f"counter {c['name']}: monotone counters use the _total suffix"
             )
+    # The reactor registers its counters as one set; wake-ups per event
+    # and per frame can only be read off a snapshot that has them all.
+    names = {c["name"] for c in snap["counters"]}
+    if any(n.startswith("swing_reactor_") for n in names):
+        for need in REACTOR_COUNTERS:
+            if need not in names:
+                raise SchemaError(f"reactor snapshot without counter {need}")
 
 
 def main():
