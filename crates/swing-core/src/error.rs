@@ -2,10 +2,8 @@
 //!
 //! One `#[non_exhaustive]` enum covers graph construction, tuple
 //! access, routing and configuration (the historical swing-core
-//! surface) *and* the network layer (wire codec, transports,
-//! discovery — folded in from `swing_net::error`). `swing_net`
-//! re-exports `NetError`/`NetResult` as deprecated aliases of
-//! [`Error`]/[`Result`] for one release.
+//! surface) *and* the network layer (wire codec, transport,
+//! registry discovery).
 
 use crate::graph::StageId;
 use crate::UnitId;
@@ -67,7 +65,9 @@ pub enum Error {
     },
     /// A frame exceeded the maximum allowed size.
     FrameTooLarge(usize),
-    /// Discovery timed out without finding a master.
+    /// A wait on the discovery path ran out: the registry did not
+    /// answer a request, it held no service matching a lookup before
+    /// the deadline, or a swarm's deployment never started.
     DiscoveryTimeout,
     /// The connection was closed by the peer.
     Closed,
@@ -167,7 +167,10 @@ impl fmt::Display for Error {
                 write!(f, "protocol version mismatch: ours {ours}, peer {theirs}")
             }
             Error::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
-            Error::DiscoveryTimeout => write!(f, "no master discovered before timeout"),
+            Error::DiscoveryTimeout => write!(
+                f,
+                "discovery timed out: registry silent, no matching service, or swarm not started"
+            ),
             Error::Closed => write!(f, "connection closed by peer"),
             Error::WouldBlock => write!(f, "operation would block; no work ready"),
         }

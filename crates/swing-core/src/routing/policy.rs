@@ -102,33 +102,6 @@ impl Policy {
         }
     }
 
-    /// Whether this policy runs the Worker Selection step.
-    #[deprecated(
-        since = "0.10.0",
-        note = "the Router consults the resolved SelectionPolicy; use `Policy::resolve()`"
-    )]
-    #[must_use]
-    pub fn uses_selection(self) -> bool {
-        matches!(
-            self,
-            Policy::Prs | Policy::Lrs | Policy::EnergyLrs | Policy::Rss | Policy::Crowdio
-        )
-    }
-
-    /// The delay metric driving the weights, or `None` for round robin.
-    #[deprecated(
-        since = "0.10.0",
-        note = "the Router consults the resolved SelectionPolicy; use `Policy::resolve()`"
-    )]
-    #[must_use]
-    pub fn metric(self) -> Option<Metric> {
-        match self {
-            Policy::Rr => None,
-            Policy::Pr | Policy::Prs => Some(Metric::Processing),
-            _ => Some(Metric::Latency),
-        }
-    }
-
     /// Upper-case display name used in figures ("RR", "LRS", ...).
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -177,25 +150,18 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(deprecated)]
-    fn selection_flag_matches_table() {
-        assert!(!Policy::Rr.uses_selection());
-        assert!(!Policy::Pr.uses_selection());
-        assert!(!Policy::Lr.uses_selection());
-        assert!(Policy::Prs.uses_selection());
-        assert!(Policy::Lrs.uses_selection());
-        assert!(Policy::EnergyLrs.uses_selection());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn metrics_match_table() {
-        assert_eq!(Policy::Rr.metric(), None);
-        assert_eq!(Policy::Pr.metric(), Some(Metric::Processing));
-        assert_eq!(Policy::Prs.metric(), Some(Metric::Processing));
-        assert_eq!(Policy::Lr.metric(), Some(Metric::Latency));
-        assert_eq!(Policy::Lrs.metric(), Some(Metric::Latency));
-        assert_eq!(Policy::EnergyLrs.metric(), Some(Metric::Latency));
+    fn resolved_metrics_match_table() {
+        assert!(Policy::Rr.resolve().round_robin());
+        for (p, metric) in [
+            (Policy::Pr, Metric::Processing),
+            (Policy::Prs, Metric::Processing),
+            (Policy::Lr, Metric::Latency),
+            (Policy::Lrs, Metric::Latency),
+            (Policy::EnergyLrs, Metric::Latency),
+        ] {
+            assert!(!p.resolve().round_robin(), "{p}");
+            assert_eq!(p.resolve().metric(), metric, "{p}");
+        }
     }
 
     #[test]

@@ -66,9 +66,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>> {
 /// [`next_frame`](Self::next_frame) yields each completed frame as a
 /// [`SharedBytes`] ready for
 /// [`Message::decode_shared`](crate::wire::Message::decode_shared).
-/// Both the blocking [`MessageStream`](crate::tcp::MessageStream) and
-/// the reactor's framed connections share this state machine, so the
-/// torn-read path has exactly one implementation.
+/// The reactor's framed connections are built on this state machine,
+/// so the torn-read path has exactly one implementation.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     /// Raw bytes fed so far; `pos..` is the unconsumed suffix. Consumed

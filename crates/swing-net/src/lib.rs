@@ -1,28 +1,23 @@
 //! # swing-net
 //!
 //! Network substrate for Swing: the tuple wire format (the paper's
-//! *Serialization Service*), length-delimited TCP transport, UDP-based
-//! master discovery (the Android NSD analog), and the wireless link model
-//! used by the simulator (sender-side queueing + 802.11 rate adaptation).
+//! *Serialization Service*, including the lease registry's messages),
+//! length-delimited framing, the transport timing knobs, and the
+//! wireless link model used by the simulator (sender-side queueing +
+//! 802.11 rate adaptation).
 //!
-//! The live runtime (`swing-runtime`) uses [`wire`], [`frame`], [`tcp`]
-//! and [`discovery`]; the simulator (`swing-sim`) uses [`link`].
+//! The live transport (`swing-reactor`, driven by `swing-runtime`) uses
+//! [`wire`], [`frame`] and [`timeouts`]; the simulator (`swing-sim`)
+//! uses [`link`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod discovery;
-pub mod error;
 pub mod frame;
 pub mod link;
-pub mod metrics;
-pub mod tcp;
 pub mod timeouts;
 pub mod wire;
 
-#[allow(deprecated)]
-pub use error::{NetError, NetResult};
 pub use frame::FrameAssembler;
-pub use metrics::LinkMetrics;
 pub use timeouts::NetTimeouts;
 pub use wire::{Message, ServiceEntry, WireSegment, SHARED_SEGMENT_MIN};

@@ -1,30 +1,24 @@
 //! Transport timing knobs.
 //!
 //! Every live-network timeout that used to be a hard-coded `Duration`
-//! constant — dial timeouts in the TCP transport, poll intervals in
-//! UDP discovery, registry lease timing — lives in one validated
-//! struct. `SwarmConfig` (swing-runtime) embeds a [`NetTimeouts`] and
-//! threads it through the fabric, the reactor and the registry client,
-//! so an experiment can tighten or relax network timing without
-//! touching transport code.
+//! constant — the reactor's dial timeout, registry lease timing —
+//! lives in one validated struct. `SwarmConfig` (swing-runtime) embeds
+//! a [`NetTimeouts`] and threads it through the fabric, the reactor and
+//! the registry client, so an experiment can tighten or relax network
+//! timing without touching transport code.
 
 use std::time::Duration;
 use swing_core::{Error, Result};
 
-/// Connect / read / heartbeat timing for the live transports.
+/// Connect / heartbeat timing for the live transport.
 ///
-/// Defaults match the constants the transports shipped with: a 5 s
-/// dial timeout, 100 ms blocking-read polls, and registry leases of
-/// 1.5 s renewed every 500 ms (the 3× rule: a lease survives two
-/// dropped heartbeats before expiring).
+/// Defaults match the constants the transport shipped with: a 5 s
+/// dial timeout, and registry leases of 1.5 s renewed every 500 ms (the
+/// 3× rule: a lease survives two dropped heartbeats before expiring).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetTimeouts {
     /// How long a dial may take before it fails.
     pub connect: Duration,
-    /// Poll interval for blocking reads that must remain interruptible
-    /// (discovery responder loop, discovery probes, reactor idle
-    /// backoff cap).
-    pub read: Duration,
     /// Cadence at which a registered service renews its registry lease.
     pub heartbeat_interval: Duration,
     /// Registry lease duration; a registration not renewed within this
@@ -37,7 +31,6 @@ impl Default for NetTimeouts {
     fn default() -> Self {
         NetTimeouts {
             connect: Duration::from_secs(5),
-            read: Duration::from_millis(100),
             heartbeat_interval: Duration::from_millis(500),
             heartbeat_ttl: Duration::from_millis(1_500),
         }
@@ -48,18 +41,13 @@ impl NetTimeouts {
     /// Check the knobs for consistency.
     ///
     /// Rejects zero durations (a zero connect timeout can never dial; a
-    /// zero read poll spins; a zero TTL expires every lease instantly)
-    /// and a lease TTL at or below the heartbeat interval (the lease
-    /// would lapse before its first renewal could arrive).
+    /// zero TTL expires every lease instantly) and a lease TTL at or
+    /// below the heartbeat interval (the lease would lapse before its
+    /// first renewal could arrive).
     pub fn validate(&self) -> Result<()> {
         if self.connect.is_zero() {
             return Err(Error::InvalidConfig(
                 "net.connect timeout must be positive".into(),
-            ));
-        }
-        if self.read.is_zero() {
-            return Err(Error::InvalidConfig(
-                "net.read poll interval must be positive".into(),
             ));
         }
         if self.heartbeat_interval.is_zero() {
@@ -100,10 +88,6 @@ mod tests {
         for bad in [
             NetTimeouts {
                 connect: Duration::ZERO,
-                ..base
-            },
-            NetTimeouts {
-                read: Duration::ZERO,
                 ..base
             },
             NetTimeouts {

@@ -3,11 +3,12 @@
 //! kernel reads ending mid-prefix, mid-payload, or spanning several
 //! frames — the [`FrameAssembler`] reassembles the identical
 //! [`Message`] sequence, and a writer that accepts only a few bytes
-//! per call still produces the identical byte stream.
+//! per call still produces the identical byte stream. A hostile stream
+//! — length prefixes that lie — is rejected or framed, never trusted.
 
 use proptest::prelude::*;
-use swing_core::{SeqNo, Tuple, UnitId};
-use swing_net::frame::{write_frame, write_frame_parts};
+use swing_core::{Error, SeqNo, Tuple, UnitId};
+use swing_net::frame::{write_frame, write_frame_parts, MAX_FRAME};
 use swing_net::{FrameAssembler, Message};
 
 fn arb_message() -> impl Strategy<Value = Message> {
@@ -152,5 +153,57 @@ proptest! {
         let mut w = ShortWriter { out: Vec::new(), max };
         write_frame(&mut w, &msg.encode()).unwrap();
         prop_assert_eq!(&w.out, &reference);
+    }
+
+    /// Length prefixes an attacker chose — above `MAX_FRAME`, zero,
+    /// honest, or arbitrary, torn across feeds anywhere — get
+    /// `FrameTooLarge` or the promised bytes back, never a panic, and
+    /// the assembler holds exactly what was fed and not yet framed: a
+    /// prefix alone reserves nothing.
+    #[test]
+    fn adversarial_prefixes_are_rejected_or_framed(
+        records in proptest::collection::vec(
+            (0u8..4, any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
+            1..8,
+        ),
+        cuts in proptest::collection::vec(0.0f64..1.0, 0..16),
+    ) {
+        let mut stream = Vec::new();
+        for (kind, raw, body) in &records {
+            let prefix = match kind {
+                0 => 0,
+                1 => (MAX_FRAME as u32 + 1).saturating_add(*raw),
+                2 => body.len() as u32,
+                _ => *raw,
+            };
+            stream.extend_from_slice(&prefix.to_be_bytes());
+            stream.extend_from_slice(body);
+        }
+        let points = split_points(stream.len(), &cuts);
+        let mut asm = FrameAssembler::new();
+        let mut framed = 0; // stream bytes already returned as frames
+        let mut start = 0;
+        'feeds: for end in points.into_iter().chain(std::iter::once(stream.len())) {
+            asm.feed(&stream[start..end]);
+            start = end;
+            loop {
+                prop_assert_eq!(asm.buffered(), end - framed);
+                match asm.next_frame() {
+                    Ok(Some(frame)) => {
+                        let body = framed + 4..framed + 4 + frame.len();
+                        prop_assert_eq!(frame.as_slice(), &stream[body.clone()]);
+                        framed = body.end;
+                    }
+                    Ok(None) => break,
+                    // The stream cannot be resynchronised: a transport
+                    // drops the connection here.
+                    Err(Error::FrameTooLarge(n)) => {
+                        prop_assert!(n > MAX_FRAME);
+                        break 'feeds;
+                    }
+                    Err(other) => prop_assert!(false, "unexpected error {other}"),
+                }
+            }
+        }
     }
 }

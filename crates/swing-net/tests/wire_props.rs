@@ -4,7 +4,61 @@
 use proptest::prelude::*;
 use swing_core::graph::{EdgeKind, StageId};
 use swing_core::{DeviceId, SeqNo, Tuple, UnitId};
-use swing_net::Message;
+use swing_net::{Message, ServiceEntry};
+
+/// The pattern coordinates and address the registry's messages carry.
+fn arb_entry() -> impl Strategy<Value = ServiceEntry> {
+    (
+        "[a-z]{0,12}",
+        "[a-z]{0,12}",
+        "[a-z-]{0,12}",
+        "[a-z0-9.:]{0,32}",
+    )
+        .prop_map(|(app, role, stage, addr)| ServiceEntry {
+            app,
+            role,
+            stage,
+            addr,
+        })
+}
+
+/// The lease registry's messages, wire tags 16–22.
+fn arb_registry_message() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        (arb_entry(), any::<u64>()).prop_map(|(e, ttl_ms)| Message::RegisterService {
+            app: e.app,
+            role: e.role,
+            stage: e.stage,
+            addr: e.addr,
+            ttl_ms,
+        }),
+        arb_entry().prop_map(|e| Message::ServiceHeartbeat {
+            app: e.app,
+            role: e.role,
+            stage: e.stage,
+            addr: e.addr,
+        }),
+        arb_entry().prop_map(|e| Message::LookupServices {
+            app: e.app,
+            role: e.role,
+            stage: e.stage,
+        }),
+        proptest::collection::vec(arb_entry(), 0..8)
+            .prop_map(|services| Message::ServicesFound { services }),
+        any::<bool>().prop_map(|registered| Message::RegistryAck { registered }),
+        arb_entry().prop_map(|e| Message::WatchServices {
+            app: e.app,
+            role: e.role,
+            stage: e.stage,
+        }),
+        arb_entry().prop_map(|e| Message::ServiceExpired {
+            app: e.app,
+            role: e.role,
+            stage: e.stage,
+            addr: e.addr,
+        }),
+    ]
+}
 
 fn arb_message() -> impl Strategy<Value = Message> {
     let data = (
@@ -114,7 +168,18 @@ fn arb_message() -> impl Strategy<Value = Message> {
             device: DeviceId(d)
         }),
     ];
-    prop_oneof![data, ack, join, activate, connect, disconnect, hello, announce, simple]
+    prop_oneof![
+        data,
+        ack,
+        join,
+        activate,
+        connect,
+        disconnect,
+        hello,
+        announce,
+        simple,
+        arb_registry_message()
+    ]
 }
 
 proptest! {

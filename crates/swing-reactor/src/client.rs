@@ -230,9 +230,11 @@ fn unexpected(msg: &Message) -> Error {
     Error::Malformed(format!("unexpected registry reply: {msg:?}"))
 }
 
+/// How long [`await_service`] sleeps between lookups that found nothing.
+const LOOKUP_RETRY: Duration = Duration::from_millis(50);
+
 /// Convenience: poll the registry until a service matching the pattern
-/// appears or `timeout` elapses — the registry-era replacement for
-/// `query_master`. Returns the first match.
+/// appears or `timeout` elapses. Returns the first match.
 pub fn await_service(
     reactor: &ReactorHandle,
     registry_addr: &str,
@@ -250,7 +252,7 @@ pub fn await_service(
         if Instant::now() >= deadline {
             return Err(Error::DiscoveryTimeout);
         }
-        std::thread::sleep(timeouts.read.min(Duration::from_millis(50)));
+        std::thread::sleep(LOOKUP_RETRY);
     }
 }
 

@@ -3,7 +3,7 @@
 //! First-party non-blocking networked runtime for Swing: a
 //! single-threaded readiness loop ([`Reactor`]) multiplexing hundreds
 //! of framed TCP connections, and a registry service
-//! ([`RegistryServer`]) replacing UDP probe discovery with TTL'd
+//! ([`RegistryServer`]) — the Discovery Service — with TTL'd
 //! registrations, heartbeat renewal, pattern lookup, and
 //! tombstone-on-expiry watch events.
 //!

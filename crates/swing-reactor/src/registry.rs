@@ -1,7 +1,7 @@
 //! The registry service: TTL'd service registrations, pattern lookup,
 //! and expiry tombstones.
 //!
-//! Replaces UDP probe discovery with the model the related frameworks
+//! Discovery follows the model the related frameworks
 //! motivate: services register under (app, role, stage) patterns
 //! (SwarMS-style discovery decoupled from fixed infrastructure) and
 //! keep their registration alive with heartbeats; a lease that is not

@@ -4,13 +4,12 @@
 
 use crossbeam::channel::{unbounded, Receiver};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swing_core::{SeqNo, Tuple, UnitId};
-use swing_net::tcp::MessageListener;
-use swing_net::Message;
+use swing_net::{FrameAssembler, Message};
 use swing_reactor::{ConnEvent, Delivery, Reactor, ReactorConfig, ReactorHandle};
 use swing_telemetry::{names, Telemetry};
 
@@ -28,6 +27,20 @@ fn inbox_listener(reactor: &ReactorHandle) -> (String, Receiver<Message>) {
         .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
         .unwrap();
     (addr, rx)
+}
+
+/// A blocking peer's receive: read `stream` through the production
+/// frame assembler until one whole message is out.
+fn recv_blocking(stream: &mut TcpStream, frames: &mut FrameAssembler) -> Message {
+    let mut chunk = vec![0u8; 64 * 1024];
+    loop {
+        if let Some(frame) = frames.next_frame().unwrap() {
+            return Message::decode_shared(&frame).unwrap();
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the reactor hung up mid-stream");
+        frames.feed(&chunk[..n]);
+    }
 }
 
 /// Poll `cond` until it holds; panics after five seconds.
@@ -111,11 +124,11 @@ fn a_stalled_reader_blocks_the_producer_without_spinning_the_reactor() {
         ..ReactorConfig::default()
     };
     let reactor = Reactor::spawn(config, Some(&telemetry));
-    let peer = MessageListener::bind("127.0.0.1:0").unwrap();
+    let peer = TcpListener::bind("127.0.0.1:0").unwrap();
     let out = reactor
         .dial(&peer.local_addr().unwrap().to_string())
         .unwrap();
-    let mut peer = peer.accept().unwrap(); // and does not read yet
+    let (mut peer, _) = peer.accept().unwrap(); // and does not read yet
 
     let sent = Arc::new(AtomicU64::new(0));
     let producer = {
@@ -157,8 +170,9 @@ fn a_stalled_reader_blocks_the_producer_without_spinning_the_reactor() {
     assert_eq!(wakeups.get(), before, "the reactor spun while blocked");
 
     // The peer resumes: everything arrives, in order.
+    let mut frames = FrameAssembler::new();
     for seq in 0..FRAMES {
-        let Message::Data { tuple, .. } = peer.recv().unwrap() else {
+        let Message::Data { tuple, .. } = recv_blocking(&mut peer, &mut frames) else {
             panic!("unexpected message");
         };
         assert_eq!(tuple.seq(), SeqNo(seq));

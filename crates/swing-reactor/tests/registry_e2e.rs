@@ -12,7 +12,6 @@ use swing_reactor::{
 fn fast_timeouts() -> NetTimeouts {
     NetTimeouts {
         connect: Duration::from_secs(5),
-        read: Duration::from_millis(50),
         heartbeat_interval: Duration::from_millis(40),
         heartbeat_ttl: Duration::from_millis(140),
     }

@@ -63,10 +63,8 @@ pub struct SwarmConfig {
     /// timeout at or below the interval declares every worker dead
     /// before its first reply can arrive.
     pub heartbeat: Option<HeartbeatConfig>,
-    /// Transport timing: dial timeout, blocking-read poll timeout, and
-    /// the registry heartbeat interval / lease TTL. Replaces the
-    /// hard-coded durations the TCP and discovery layers used to carry;
-    /// only networked fabrics (TCP, reactor) consult it.
+    /// Transport timing: dial timeout and the registry heartbeat
+    /// interval / lease TTL. Only the reactor fabric consults it.
     pub net: NetTimeouts,
 }
 

@@ -740,6 +740,13 @@ impl Dispatcher {
         }
     }
 
+    /// Absolute time of the next periodic publish. Until then
+    /// [`maybe_publish`](Self::maybe_publish) does nothing, so an idle
+    /// executor has no reason to wake earlier on its account.
+    pub(crate) fn next_publish_us(&self) -> u64 {
+        self.next_publish_us
+    }
+
     /// Adopt the out-edge's distribution mode (see [`EdgeKind`]).
     /// Wiring layers call this when a downstream link of the edge is
     /// established; repeated calls with the same kind are no-ops, so

@@ -545,14 +545,12 @@ fn run_operator(
             out.service_timers();
             continue;
         }
-        // Mailbox empty: sleep until traffic or the next retry deadline.
-        let timeout = {
-            let base = Duration::from_millis(50);
-            match out.next_wake_us() {
-                Some(w) => Duration::from_micros(w.saturating_sub(clock.now_us()).max(1)).min(base),
-                None => base,
-            }
-        };
+        // Mailbox empty: sleep until traffic, the next retry deadline or
+        // the next periodic publish, whichever comes first. Nothing
+        // else here is timed, so an idle replica wakes only to publish.
+        let publish = out.next_publish_us();
+        let wake = out.next_wake_us().map_or(publish, |w| w.min(publish));
+        let timeout = Duration::from_micros(wake.saturating_sub(clock.now_us()).max(1));
         match rx.recv_timeout(timeout) {
             Ok(ExecMsg::Data { from, tuple }) => {
                 mailbox_enqueue(&mut out, &mut mailbox, from, tuple)
@@ -772,6 +770,16 @@ mod tests {
         let src_stats = src_h.delivery_stats().expect("source published a probe");
         assert_eq!(src_stats.sent, 50);
         assert_eq!(src_stats.lost, 0);
+
+        // The stream is over and the operator sleeps with no traffic to
+        // wake it: its final counts (the last ACKs came in after its
+        // last publish) must still reach observers, on the publish timer.
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        let settled = |d: DeliveryStats| d.sent == 50 && d.acked == 50;
+        while !op_h.delivery_stats().is_some_and(settled) && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(op_h.delivery_stats().is_some_and(settled));
 
         drop(src_h);
         drop(op_h);

@@ -1,11 +1,13 @@
-//! Message fabric: one abstraction over in-process channels and TCP.
+//! Message fabric: one abstraction over in-process channels and
+//! sockets.
 //!
 //! Every node owns a single *inbox* on which control messages (from the
 //! master) and data/ACK messages (from peer nodes) arrive. Nodes reach
 //! each other by *dialing* an address obtained from the master's
 //! `Connect` messages. In-process swarms use crossbeam channels under
-//! `inproc:<n>` addresses; TCP swarms use `127.0.0.1:<port>` sockets
-//! bridged onto the same channel types, so the rest of the runtime is
+//! `inproc:<n>` addresses; networked swarms use `127.0.0.1:<port>`
+//! sockets, all multiplexed on one reactor thread and bridged onto the
+//! same channel types, so the rest of the runtime is
 //! transport-agnostic.
 
 use crate::chaos::{ChaosControl, ChaosShared, FaultPlan};
@@ -16,8 +18,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use swing_core::{Error, Result};
-use swing_net::tcp::{MessageListener, MessageStream};
-use swing_net::{LinkMetrics, Message, NetTimeouts};
+use swing_net::Message;
 use swing_reactor::{Delivery, Reactor, ReactorConfig, ReactorHandle};
 use swing_telemetry::Telemetry;
 
@@ -47,12 +48,10 @@ impl fmt::Debug for InProcNet {
 pub enum Fabric {
     /// Crossbeam channels inside one process.
     InProc(Arc<InProcNet>),
-    /// Loopback TCP sockets (multi-thread or multi-process).
-    Tcp(Arc<TcpNet>),
-    /// Non-blocking TCP multiplexed on one reactor thread
-    /// (see [`swing_reactor`]): the thread-per-link model of
-    /// [`Tcp`](Fabric::Tcp) replaced by a single readiness loop, which
-    /// is what lets one process hold a thousand worker links.
+    /// Non-blocking TCP sockets (multi-thread or multi-process)
+    /// multiplexed on one reactor thread (see [`swing_reactor`]): a
+    /// single readiness loop instead of threads per link, which is
+    /// what lets one process hold a thousand worker links.
     Reactor(Arc<ReactorNet>),
     /// Any fabric wrapped in deterministic fault injection
     /// (see [`crate::chaos`]).
@@ -61,24 +60,6 @@ pub enum Fabric {
     /// discrete-event loop pumps them, through seeded per-link
     /// delay/loss models (see [`crate::sim`]).
     Sim(Arc<crate::sim::SimFabric>),
-}
-
-/// Shared state of the TCP fabric: the optional telemetry domain its
-/// links report per-link frame/byte/timing metrics into, and the
-/// network timing knobs its dials use.
-#[derive(Debug, Default)]
-pub struct TcpNet {
-    telemetry: Mutex<Option<Telemetry>>,
-    timeouts: Mutex<NetTimeouts>,
-}
-
-impl TcpNet {
-    fn link_metrics(&self, link: &str) -> Option<LinkMetrics> {
-        self.telemetry
-            .lock()
-            .as_ref()
-            .map(|t| LinkMetrics::new(t, link))
-    }
 }
 
 /// Shared state of the reactor fabric: the handle every listen/dial
@@ -118,12 +99,6 @@ impl Fabric {
         Fabric::InProc(Arc::new(InProcNet::default()))
     }
 
-    /// The TCP fabric.
-    #[must_use]
-    pub fn tcp() -> Self {
-        Fabric::Tcp(Arc::new(TcpNet::default()))
-    }
-
     /// A reactor fabric with default tuning and no telemetry.
     #[must_use]
     pub fn reactor() -> Self {
@@ -131,9 +106,8 @@ impl Fabric {
     }
 
     /// A reactor fabric with explicit tuning. `telemetry`, when given,
-    /// receives the `swing_reactor_*` metrics (unlike the TCP fabric,
-    /// the reactor binds its metrics at spawn, so they cannot be
-    /// attached later via [`set_telemetry`](Self::set_telemetry)).
+    /// receives the `swing_reactor_*` metrics; `config.timeouts` holds
+    /// the dial timeout. Both are bound at spawn.
     #[must_use]
     pub fn reactor_with(config: ReactorConfig, telemetry: Option<&Telemetry>) -> Self {
         Fabric::Reactor(Arc::new(ReactorNet {
@@ -149,33 +123,6 @@ impl Fabric {
             Fabric::Reactor(net) => Some(net.handle()),
             Fabric::Chaos(net) => net.inner.reactor_handle(),
             _ => None,
-        }
-    }
-
-    /// Set the network timing knobs (dial timeout) used by links dialed
-    /// after this call. Only the TCP fabric reads them dynamically — the
-    /// reactor takes its timing at [`reactor_with`](Self::reactor_with)
-    /// spawn; other fabrics have no wire timing at all.
-    pub fn set_timeouts(&self, timeouts: NetTimeouts) {
-        match self {
-            Fabric::Tcp(net) => *net.timeouts.lock() = timeouts,
-            Fabric::Chaos(net) => net.inner.set_timeouts(timeouts),
-            _ => {}
-        }
-    }
-
-    /// Report per-link transport metrics (frames, bytes, encode/decode
-    /// time) into `telemetry`. Affects links dialed or accepted after
-    /// the call; only the TCP fabric has wire traffic to measure, other
-    /// fabrics ignore this.
-    pub fn set_telemetry(&self, telemetry: &Telemetry) {
-        match self {
-            Fabric::InProc(_) => {}
-            Fabric::Tcp(net) => *net.telemetry.lock() = Some(telemetry.clone()),
-            // The reactor binds its metrics at spawn (reactor_with).
-            Fabric::Reactor(_) => {}
-            Fabric::Chaos(net) => net.inner.set_telemetry(telemetry),
-            Fabric::Sim(_) => {}
         }
     }
 
@@ -216,17 +163,6 @@ impl Fabric {
                 net.endpoints.lock().insert(addr.clone(), tx.into());
                 Ok((addr, rx))
             }
-            Fabric::Tcp(net) => {
-                let listener = MessageListener::bind("127.0.0.1:0")?;
-                let addr = listener.local_addr()?.to_string();
-                let (tx, rx) = unbounded();
-                let net = Arc::clone(net);
-                std::thread::Builder::new()
-                    .name(format!("swing-accept-{addr}"))
-                    .spawn(move || accept_loop(&listener, &tx.into(), &net))
-                    .expect("spawn accept thread");
-                Ok((addr, rx))
-            }
             Fabric::Reactor(net) => {
                 let (tx, rx) = unbounded();
                 let addr = net
@@ -252,29 +188,6 @@ impl Fabric {
                     format!("no in-proc endpoint at {addr}"),
                 ))
             }),
-            Fabric::Tcp(net) => {
-                let connect = net.timeouts.lock().connect;
-                let sock_addr = std::net::ToSocketAddrs::to_socket_addrs(addr)?
-                    .next()
-                    .ok_or_else(|| Error::Malformed(format!("unresolvable address {addr}")))?;
-                let mut stream = MessageStream::connect_timeout(&sock_addr, connect)?;
-                if let Some(m) = net.link_metrics(addr) {
-                    stream.set_metrics(m);
-                }
-                let (tx, rx) = unbounded::<Message>();
-                std::thread::Builder::new()
-                    .name(format!("swing-dial-{addr}"))
-                    .spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            if stream.send(&msg).is_err() {
-                                break;
-                            }
-                        }
-                        stream.shutdown();
-                    })
-                    .expect("spawn writer thread");
-                Ok(tx.into())
-            }
             // No writer thread: the reactor drains the bounded outbox,
             // so a thousand links cost one thread total.
             Fabric::Reactor(net) => net.handle.dial(addr),
@@ -287,35 +200,6 @@ impl Fabric {
                 ))
             }
             Fabric::Sim(net) => net.dial_impl(addr),
-        }
-    }
-}
-
-/// Accept connections forever, pumping each connection's messages into
-/// the shared inbox. Ends when the inbox is dropped.
-fn accept_loop(listener: &MessageListener, inbox: &MsgSender, net: &TcpNet) {
-    loop {
-        let Ok(mut conn) = listener.accept() else {
-            return;
-        };
-        if let Some(m) = net.link_metrics(&conn.peer_addr().to_string()) {
-            conn.set_metrics(m);
-        }
-        let inbox = inbox.clone();
-        let spawned = std::thread::Builder::new()
-            .name("swing-conn-reader".into())
-            .spawn(move || loop {
-                match conn.recv() {
-                    Ok(msg) => {
-                        if inbox.send(msg).is_err() {
-                            return; // node shut down
-                        }
-                    }
-                    Err(_) => return, // peer closed
-                }
-            });
-        if spawned.is_err() {
-            return;
         }
     }
 }
@@ -350,44 +234,6 @@ mod tests {
         let tx = fabric.dial(&addr).unwrap();
         drop(rx);
         assert!(tx.send(Message::Ping).is_err());
-    }
-
-    #[test]
-    fn tcp_messages_flow() {
-        let fabric = Fabric::tcp();
-        let (addr, rx) = fabric.listen().unwrap();
-        let tx = fabric.dial(&addr).unwrap();
-        tx.send(Message::Ping).unwrap();
-        tx.send(Message::Pong {
-            device: swing_core::DeviceId(0),
-        })
-        .unwrap();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(2)).unwrap(),
-            Message::Ping
-        );
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(2)).unwrap(),
-            Message::Pong {
-                device: swing_core::DeviceId(0)
-            }
-        );
-    }
-
-    #[test]
-    fn tcp_multiple_dialers_share_inbox() {
-        let fabric = Fabric::tcp();
-        let (addr, rx) = fabric.listen().unwrap();
-        let tx1 = fabric.dial(&addr).unwrap();
-        let tx2 = fabric.dial(&addr).unwrap();
-        tx1.send(Message::Ping).unwrap();
-        tx2.send(Message::Ping).unwrap();
-        for _ in 0..2 {
-            assert_eq!(
-                rx.recv_timeout(Duration::from_secs(2)).unwrap(),
-                Message::Ping
-            );
-        }
     }
 
     #[test]
@@ -429,8 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn tcp_dial_to_dead_address_errors() {
-        let fabric = Fabric::tcp();
+    fn reactor_dial_to_dead_address_errors() {
+        let fabric = Fabric::reactor();
         // Grab a free port by binding/dropping a listener.
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = l.local_addr().unwrap().to_string();

@@ -8,7 +8,7 @@
 //!    installed all the function units").
 //! 2. **Launch & join** — a [`Master`] listens for
 //!    connections; [`WorkerNode`]s join it (optionally
-//!    after UDP discovery via `swing_net::discovery`).
+//!    after finding it in the `swing_reactor` lease registry).
 //! 3. **Deploy** — the master assigns stage instances to devices and
 //!    sends `Activate`/`Connect` control messages.
 //! 4. **Execute** — on `Start`, source executors sense and dispatch
@@ -17,7 +17,7 @@
 //!    back.
 //!
 //! Transports are pluggable through [`Fabric`]:
-//! in-process channels for tests/examples, loopback TCP for real
+//! in-process channels for tests/examples, reactor sockets for real
 //! socket-level runs. [`LocalSwarm`] assembles a whole
 //! swarm in one process with a few lines.
 

@@ -330,27 +330,9 @@ impl Master {
         &self.addr
     }
 
-    /// Start answering UDP discovery queries for this master (§IV-C's
-    /// Discovery Service: "the master broadcasts itself [...]; each
-    /// worker maintains a background service that listens for the master
-    /// and connects to it upon discovery"). Keep the returned responder
-    /// alive for as long as the master should be discoverable.
-    pub fn announce(
-        &self,
-        discovery_port: u16,
-        app: impl Into<String>,
-    ) -> Result<swing_net::discovery::MasterResponder> {
-        swing_net::discovery::MasterResponder::start(
-            discovery_port,
-            swing_net::discovery::MasterInfo {
-                app: app.into(),
-                addr: self.addr.clone(),
-            },
-        )
-    }
-
     /// Make this master discoverable through a [`RegistryServer`]
-    /// (the registry-based replacement for UDP [`announce`](Self::announce)):
+    /// (§IV-C's Discovery Service: "the master broadcasts itself [...];
+    /// each worker [...] connects to it upon discovery"):
     /// registers `(app, "master")` under a heartbeat-renewed lease and
     /// watches `(app, "worker")` registrations, forwarding every expiry
     /// tombstone into the master's inbox — a worker whose lease lapses

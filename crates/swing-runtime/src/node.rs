@@ -135,27 +135,12 @@ impl WorkerNode {
         })
     }
 
-    /// Discover the master over UDP (§IV-C's Discovery Service) and join
-    /// it. Blocks up to `timeout` waiting for a responder on
-    /// `discovery_port`.
-    pub fn discover_and_spawn(
-        name: impl Into<String>,
-        fabric: Fabric,
-        discovery_port: u16,
-        timeout: std::time::Duration,
-        registry: UnitRegistry,
-        config: NodeConfig,
-    ) -> Result<WorkerNode> {
-        let info = swing_net::discovery::query_master(discovery_port, timeout)?;
-        WorkerNode::spawn(name, fabric, &info.addr, registry, config)
-    }
-
-    /// Discover the master through a [`RegistryServer`] and join it,
-    /// then register this node's own data address as an `(app, "worker")`
-    /// service kept alive by `heartbeater`. The registry-based
-    /// replacement for [`discover_and_spawn`](Self::discover_and_spawn):
-    /// if the node dies, its lease lapses and the master (watching
-    /// through [`Master::attach_registry`](crate::master::Master::attach_registry))
+    /// Discover the master through a [`RegistryServer`] (§IV-C's
+    /// Discovery Service) and join it, then register this node's own
+    /// data address as an `(app, "worker")` service kept alive by
+    /// `heartbeater`: if the node dies, its lease lapses and the master
+    /// (watching through
+    /// [`Master::attach_registry`](crate::master::Master::attach_registry))
     /// evicts it and re-places its units. Requires a reactor fabric.
     ///
     /// Graceful leavers should pass [`service_entry`](Self::service_entry)

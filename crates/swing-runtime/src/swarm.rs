@@ -1,5 +1,5 @@
 //! High-level swarm assembly: build a master and a set of worker nodes
-//! in one process (threads connected by channels or loopback TCP), run
+//! in one process (threads connected by channels or loopback sockets), run
 //! the app, and collect sink statistics.
 //!
 //! ```no_run
@@ -76,7 +76,6 @@ pub struct LocalSwarmBuilder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Transport {
     InProc,
-    Tcp,
     Reactor,
 }
 
@@ -157,36 +156,28 @@ impl LocalSwarmBuilder {
         self
     }
 
-    /// Wrap the swarm's fabric in deterministic fault injection (call
-    /// after [`tcp`](Self::tcp) if combining). The control handle is
-    /// available from [`LocalSwarm::chaos`] after start.
+    /// Wrap the swarm's fabric in deterministic fault injection. The
+    /// control handle is available from [`LocalSwarm::chaos`] after
+    /// start.
     #[must_use]
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
         self.config.chaos = Some(plan);
         self
     }
 
-    /// Use loopback TCP sockets instead of in-process channels.
-    #[must_use]
-    pub fn tcp(mut self) -> Self {
-        self.transport = Transport::Tcp;
-        self
-    }
-
-    /// Use the non-blocking reactor fabric: loopback TCP multiplexed on
-    /// one [`swing_reactor`] thread instead of two threads per
-    /// link, the configuration that scales a single process to
-    /// 1000-worker swarms. Reactor metrics land in the swarm's
-    /// telemetry domain.
+    /// Use loopback sockets instead of in-process channels: the
+    /// non-blocking reactor fabric, every link multiplexed on one
+    /// [`swing_reactor`] thread, the configuration that scales a single
+    /// process to 1000-worker swarms. Reactor metrics land in the
+    /// swarm's telemetry domain.
     #[must_use]
     pub fn reactor(mut self) -> Self {
         self.transport = Transport::Reactor;
         self
     }
 
-    /// Network timing knobs (dial timeout, read poll, registry
-    /// heartbeat interval and lease TTL) used by the TCP and reactor
-    /// fabrics.
+    /// Network timing knobs (dial timeout, registry heartbeat interval
+    /// and lease TTL) used by the reactor fabric.
     #[must_use]
     pub fn net(mut self, timeouts: swing_net::NetTimeouts) -> Self {
         self.config.net = timeouts;
@@ -237,7 +228,6 @@ impl LocalSwarmBuilder {
         let node_config = self.config.node_config();
         let base = match self.transport {
             Transport::InProc => Fabric::in_proc(),
-            Transport::Tcp => Fabric::tcp(),
             Transport::Reactor => Fabric::reactor_with(
                 swing_reactor::ReactorConfig {
                     timeouts: self.config.net,
@@ -246,7 +236,6 @@ impl LocalSwarmBuilder {
                 Some(&node_config.telemetry),
             ),
         };
-        base.set_timeouts(self.config.net);
         let (fabric, chaos) = match self.config.chaos {
             Some(plan) => {
                 let (f, ctl) = Fabric::chaos(base, plan);
@@ -254,8 +243,6 @@ impl LocalSwarmBuilder {
             }
             None => (base, None),
         };
-        // TCP links report frames/bytes/timing into the swarm's domain.
-        fabric.set_telemetry(&node_config.telemetry);
         // Event timestamps follow the injected clock (real or virtual).
         let tel_clock = node_config.clock.clone();
         node_config
@@ -607,34 +594,6 @@ mod tests {
         // End-to-end latency at 200 FPS through two hops stays small.
         let (_, r) = &reports[0];
         assert!(r.latency_ms.mean() < 250.0, "{}", r.latency_ms.mean());
-    }
-
-    #[test]
-    fn tcp_swarm_runs_the_full_workflow() {
-        let swarm = LocalSwarm::builder(pipeline_graph())
-            .policy(Policy::Lr)
-            .input_fps(100.0)
-            .tcp()
-            .worker("A", registry(None))
-            .worker("B", registry(None))
-            .start()
-            .unwrap();
-        swarm.run_for(Duration::from_millis(700));
-        // TCP links report into the swarm's telemetry domain.
-        let snap = swarm.telemetry().snapshot();
-        let frames = snap.counter_total(swing_telemetry::names::NET_FRAMES_SENT);
-        let bytes = snap.counter_total(swing_telemetry::names::NET_BYTES_SENT);
-        assert!(frames > 0, "no frames counted on the TCP links");
-        assert!(bytes > frames, "frames carry at least a header each");
-        assert!(
-            snap.histogram_total(swing_telemetry::names::NET_ENCODE_US)
-                .count
-                > 0,
-            "no encode timings recorded"
-        );
-        let reports = swarm.stop();
-        let total: u64 = reports.iter().map(|(_, r)| r.consumed).sum();
-        assert!(total > 20, "only {total} tuples consumed over TCP");
     }
 
     #[test]

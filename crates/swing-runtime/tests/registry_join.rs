@@ -1,8 +1,9 @@
 //! The §IV-B workflow over the reactor fabric with registry-based
 //! discovery: a master registers itself with a `RegistryServer`,
 //! workers look it up and join, and a killed worker's lapsed lease
-//! drives the eviction/re-placement flow — no UDP probes, no
-//! master-side heartbeat pinging.
+//! drives the eviction/re-placement flow — no master-side heartbeat
+//! pinging. The failure cases too: no master registered, and a fabric
+//! with no reactor to reach the registry through.
 //!
 //! Also pins the fabric seam: the same `SwarmConfig` (including the new
 //! `net` knobs) drives the deterministic `SimFabric` twin to
@@ -16,7 +17,7 @@ use swing_core::graph::AppGraph;
 use swing_core::unit::{closure_sink, closure_source, PassThrough};
 use swing_core::Tuple;
 use swing_net::NetTimeouts;
-use swing_reactor::{Heartbeater, RegistryServer};
+use swing_reactor::{Heartbeater, RegistryClient, RegistryServer};
 use swing_runtime::executor::NodeConfig;
 use swing_runtime::fabric::Fabric;
 use swing_runtime::master::{Master, MasterConfig};
@@ -238,6 +239,86 @@ fn lease_expiry_of_killed_worker_triggers_replacement_without_loss() {
     drop(master);
     a.stop();
     b.stop();
+    registry.stop();
+}
+
+/// With no `(app, "master")` in the registry a joining worker gives up
+/// after `timeouts.connect` and leaves nothing registered.
+#[test]
+fn joining_times_out_when_no_master_is_registered() {
+    let timeouts = NetTimeouts {
+        connect: Duration::from_millis(300),
+        ..fast_timeouts()
+    };
+    let fabric = Fabric::reactor();
+    let reactor = fabric.reactor_handle().unwrap().clone();
+    let mut registry =
+        RegistryServer::spawn(&reactor, "127.0.0.1:0", timeouts, None).expect("spawn registry");
+    let registry_addr = registry.addr().to_owned();
+    let hb = Heartbeater::spawn(&reactor, &registry_addr, timeouts).unwrap();
+    let join = RegistryJoin {
+        registry_addr: &registry_addr,
+        app: APP,
+        heartbeater: &hb,
+        timeouts,
+    };
+
+    let t0 = std::time::Instant::now();
+    let joined = WorkerNode::register_and_spawn(
+        "lonely",
+        fabric.clone(),
+        &join,
+        units(None),
+        NodeConfig::default(),
+    );
+    let waited = t0.elapsed();
+    assert!(
+        matches!(joined, Err(swing_core::Error::DiscoveryTimeout)),
+        "expected a discovery timeout, got {joined:?}"
+    );
+    assert!(
+        waited >= timeouts.connect,
+        "gave up early, after {waited:?}"
+    );
+    assert!(
+        waited < timeouts.connect + Duration::from_secs(2),
+        "gave up late, after {waited:?}"
+    );
+    let mut client = RegistryClient::connect(&reactor, &registry_addr, timeouts).unwrap();
+    assert_eq!(client.lookup(APP, "worker", "").unwrap(), vec![]);
+
+    drop(hb);
+    registry.stop();
+}
+
+/// Registry discovery travels over reactor sockets; on any other fabric
+/// both ends refuse up front instead of dialing.
+#[test]
+fn registry_discovery_requires_a_reactor_fabric() {
+    let timeouts = fast_timeouts();
+    let net = Fabric::reactor();
+    let reactor = net.reactor_handle().unwrap().clone();
+    let mut registry =
+        RegistryServer::spawn(&reactor, "127.0.0.1:0", timeouts, None).expect("spawn registry");
+    let registry_addr = registry.addr().to_owned();
+    let hb = Heartbeater::spawn(&reactor, &registry_addr, timeouts).unwrap();
+    let join = RegistryJoin {
+        registry_addr: &registry_addr,
+        app: APP,
+        heartbeater: &hb,
+        timeouts,
+    };
+
+    let fabric = Fabric::in_proc();
+    let master = Master::spawn(graph(), MasterConfig::default(), fabric.clone()).unwrap();
+    let attached = master.attach_registry(&fabric, &registry_addr, APP, timeouts);
+    assert!(matches!(attached, Err(swing_core::Error::Malformed(_))));
+    let joined =
+        WorkerNode::register_and_spawn("A", fabric, &join, units(None), NodeConfig::default());
+    assert!(matches!(joined, Err(swing_core::Error::Malformed(_))));
+
+    drop(master);
+    drop(hb);
     registry.stop();
 }
 

@@ -15,7 +15,7 @@ pub const LABEL_UNIT: &str = "unit";
 pub const LABEL_DOWNSTREAM: &str = "downstream";
 /// Routing policy in force (`rr|pr|lr|prs|lrs`).
 pub const LABEL_POLICY: &str = "policy";
-/// Transport link identifier (peer address).
+/// Link identifier (the simulated worker the link leads to).
 pub const LABEL_LINK: &str = "link";
 
 // --- executor dispatch edge (labels: worker, unit) ---
@@ -159,20 +159,10 @@ pub const GATEWAY_INGRESS: &str = "swing_gateway_ingress_total";
 /// One-way inter-swarm gateway hop latency histogram, microseconds.
 pub const GATEWAY_HOP_US: &str = "swing_gateway_hop_us";
 
-// --- transport (labels: link) ---
+// --- simulated radio (labels: link, policy) ---
 
-/// Frames written to a link.
-pub const NET_FRAMES_SENT: &str = "swing_net_frames_sent_total";
-/// Frames read from a link.
-pub const NET_FRAMES_RECEIVED: &str = "swing_net_frames_received_total";
-/// Payload bytes written to a link.
-pub const NET_BYTES_SENT: &str = "swing_net_bytes_sent_total";
-/// Payload bytes read from a link.
+/// Payload bytes a simulated worker received over its link.
 pub const NET_BYTES_RECEIVED: &str = "swing_net_bytes_received_total";
-/// Wire-encode time histogram, microseconds.
-pub const NET_ENCODE_US: &str = "swing_net_encode_us";
-/// Wire-decode time histogram, microseconds.
-pub const NET_DECODE_US: &str = "swing_net_decode_us";
 
 // --- reactor (no labels: one reactor per process/domain) ---
 

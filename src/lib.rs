@@ -13,15 +13,15 @@
 //!   latency estimation, reordering service.
 //! * [`device`] — device substrate: CPU/power/battery models calibrated to
 //!   the paper's nine-phone testbed, mobility traces, radio model.
-//! * [`net`] — wireless link models, tuple wire format, TCP transport,
-//!   UDP discovery.
-//! * [`reactor`] — non-blocking networked runtime: a single-threaded
-//!   readiness loop multiplexing framed connections, plus the TTL-lease
-//!   registry service that replaces UDP probing for discovery.
+//! * [`net`] — wireless link models, tuple wire format, framing,
+//!   transport timing knobs.
+//! * [`reactor`] — the socket transport: a single-threaded readiness
+//!   loop multiplexing framed connections, plus the TTL-lease registry
+//!   that is the Discovery Service.
 //! * [`sim`] — deterministic discrete-event simulator regenerating every
 //!   figure and table of the paper.
-//! * [`runtime`] — live master/worker runtime with in-process and TCP
-//!   transports.
+//! * [`runtime`] — live master/worker runtime on in-process channels or
+//!   reactor sockets.
 //! * [`apps`] — the reference sensing applications (face, voice, and the
 //!   grid-keyed spatial stream) with real compute kernels.
 //!

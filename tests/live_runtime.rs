@@ -1,5 +1,5 @@
 //! End-to-end tests of the live runtime executing the real sensing
-//! applications — the §IV-B workflow on in-process and TCP fabrics.
+//! applications — the §IV-B workflow on in-process and reactor fabrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,22 +57,22 @@ fn face_recognition_runs_collaboratively_in_proc() {
 }
 
 #[test]
-fn face_recognition_runs_over_tcp() {
+fn face_recognition_runs_over_the_reactor() {
     let config = face::FaceAppConfig::default();
     let swarm = LocalSwarm::builder(face::app_graph())
         .policy(Policy::Lr)
         .input_fps(12.0)
-        .tcp()
+        .reactor()
         .worker("A", face_registry(&config, None))
         .worker("B", face_registry(&config, None))
         .start()
-        .expect("tcp swarm start");
+        .expect("reactor swarm start");
     swarm.run_for(Duration::from_secs(3));
     let reports = swarm.stop();
     let (_, report) = &reports[0];
     assert!(
         report.consumed > 15,
-        "only {} frames over TCP",
+        "only {} frames over loopback sockets",
         report.consumed
     );
 }
