@@ -303,3 +303,19 @@ fn same_seed_keyed_chaos_replays_byte_identically() {
         "same seed, byte-identical telemetry export"
     );
 }
+
+/// The crashing run's exported telemetry, pinned (FNV-1a): the default
+/// engine path must stay byte-identical across refactors of `sim.rs`.
+#[test]
+fn keyed_chaos_matches_its_golden_hash() {
+    let json = run(1207, true).telemetry_json;
+    let hash = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        hash, GOLDEN_KEYED_CHAOS_1207,
+        "default-path telemetry of the keyed crash scenario changed"
+    );
+}
+
+const GOLDEN_KEYED_CHAOS_1207: u64 = 12_659_870_398_700_618_013;

@@ -461,34 +461,21 @@ pub fn cloudlet() -> String {
 /// programming model with LRS at every upstream instance).
 #[must_use]
 pub fn pipeline_study() -> String {
-    use swing_core::graph::{AppGraph, Deployment};
     use swing_core::routing::RouterConfig;
-    use swing_core::DeviceId;
     use swing_sim::experiments::device;
-    use swing_sim::pipeline::{run_pipeline, PipelineConfig, PipelineNode, StageCosts};
+    use swing_sim::{Scenario, WorkerSpec};
 
-    let mut g = AppGraph::new("face-pipeline");
-    let cam = g.add_source("camera");
-    let det = g.add_operator("detect");
-    let rec = g.add_operator("recognize");
-    let dsp = g.add_sink("display");
-    g.connect(cam, det).expect("edge");
-    g.connect(det, rec).expect("edge");
-    g.connect(rec, dsp).expect("edge");
-    let costs = StageCosts::new().with(det, 60.0).with(rec, 50.0);
-    let config = PipelineConfig {
-        router: RouterConfig::new(Policy::Lrs),
-        duration_us: 60 * 1_000_000,
-        seed: SEED,
-        ..PipelineConfig::default()
-    };
-    let nodes = vec![
-        PipelineNode::new(device("A")),
-        PipelineNode::new(device("G")),
-        PipelineNode::new(device("H")),
-        PipelineNode::new(device("I")),
-        PipelineNode::new(device("B")),
+    // Per-stage cost on the reference device (H); other devices scale
+    // by their speed. No TCP-window back-pressure: the study isolates
+    // placement, so queues grow where a stage is the bottleneck.
+    let stages = [
+        ("detect", Workload::Custom { reference_ms: 60.0 }),
+        ("recognize", Workload::Custom { reference_ms: 50.0 }),
     ];
+    let mut scenario = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
+    scenario.seed = SEED;
+    scenario.dest_window_bytes = 64 * 1024 * 1024;
+    let worker = |letter: &str| WorkerSpec::new(device(letter));
 
     let mut out = String::from(
         "Extension: multi-stage deployment of the four-unit face pipeline\n\
@@ -502,55 +489,44 @@ pub fn pipeline_study() -> String {
         "detect ms",
         "recognize ms",
     ]);
-
-    // (a) Stage-per-device chain.
-    let mut chain = Deployment::new();
-    chain.place(cam, DeviceId(0));
-    chain.place(det, DeviceId(2));
-    chain.place(rec, DeviceId(3));
-    chain.place(dsp, DeviceId(0));
-    let r = run_pipeline(&g, &chain, &nodes, &costs, &config);
-    t.row([
-        "chain (1 device/stage)".to_owned(),
-        f1(r.throughput),
-        f0(r.latency_ms.mean()),
-        f0(r.per_stage_ms[&det]),
-        f0(r.per_stage_ms[&rec]),
-    ]);
-
-    // (b) Replicated stages across four workers.
-    let mut replicated = Deployment::new();
-    replicated.place(cam, DeviceId(0));
-    replicated.place(det, DeviceId(1));
-    replicated.place(det, DeviceId(2));
-    replicated.place(rec, DeviceId(3));
-    replicated.place(rec, DeviceId(4));
-    replicated.place(dsp, DeviceId(0));
-    let r = run_pipeline(&g, &replicated, &nodes, &costs, &config);
-    t.row([
-        "replicated (2x2 workers)".to_owned(),
-        f1(r.throughput),
-        f0(r.latency_ms.mean()),
-        f0(r.per_stage_ms[&det]),
-        f0(r.per_stage_ms[&rec]),
-    ]);
-
-    // (c) Fused stages, replicated on every worker.
-    let mut fused = Deployment::new();
-    fused.place(cam, DeviceId(0));
-    for dev in 1..=4u32 {
-        fused.place(det, DeviceId(dev));
-        fused.place(rec, DeviceId(dev));
+    let placements = [
+        // (a) Stage-per-device chain.
+        (
+            "chain (1 device/stage)",
+            vec![
+                (worker("H"), vec!["detect"]),
+                (worker("I"), vec!["recognize"]),
+            ],
+        ),
+        // (b) Replicated stages across four workers.
+        (
+            "replicated (2x2 workers)",
+            vec![
+                (worker("G"), vec!["detect"]),
+                (worker("H"), vec!["detect"]),
+                (worker("I"), vec!["recognize"]),
+                (worker("B"), vec!["recognize"]),
+            ],
+        ),
+        // (c) Fused stages, replicated on every worker.
+        (
+            "fused on each worker",
+            ["G", "H", "I", "B"]
+                .iter()
+                .map(|l| (worker(l), vec!["detect", "recognize"]))
+                .collect(),
+        ),
+    ];
+    for (label, workers) in placements {
+        let r = scenario.run_stages(&stages, workers);
+        t.row([
+            label.to_owned(),
+            f1(r.throughput_fps),
+            f0(r.latency_ms.mean()),
+            f0(r.stage_ms[0].1),
+            f0(r.stage_ms[1].1),
+        ]);
     }
-    fused.place(dsp, DeviceId(0));
-    let r = run_pipeline(&g, &fused, &nodes, &costs, &config);
-    t.row([
-        "fused on each worker".to_owned(),
-        f1(r.throughput),
-        f0(r.latency_ms.mean()),
-        f0(r.per_stage_ms[&det]),
-        f0(r.per_stage_ms[&rec]),
-    ]);
     out.push_str(&t.render());
     out.push_str(
         "\nSplitting a compute-heavy operation across devices is what lets the\n\

@@ -229,6 +229,12 @@ impl<T> Mailbox<T> {
         self.items.pop_front()
     }
 
+    /// The oldest item (the next [`pop`](Self::pop)), if any.
+    #[must_use]
+    pub fn front(&self) -> Option<&T> {
+        self.items.front()
+    }
+
     /// Items currently queued.
     #[must_use]
     pub fn len(&self) -> usize {

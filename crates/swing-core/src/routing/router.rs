@@ -44,6 +44,8 @@ pub struct RouteView {
     pub battery_frac: f64,
     /// Last reported power draw, watts (0 when unreported).
     pub drain_w: f64,
+    /// Last reported Wi-Fi signal strength, dBm (0 when unreported).
+    pub rssi_dbm: f64,
     /// Mean end-to-end latency estimate, milliseconds.
     pub latency_ms: f64,
     /// Mean processing delay estimate, milliseconds.
@@ -497,6 +499,7 @@ impl Router {
                     selected: e.selected,
                     battery_frac: note.battery_frac,
                     drain_w: note.drain_w,
+                    rssi_dbm: note.rssi_dbm,
                     latency_ms,
                     processing_ms,
                     sent,

@@ -1,9 +1,7 @@
 //! Canonical timing constants shared by the runtime and the simulators.
 //!
-//! Before this module existed the same magic numbers were defined
-//! independently in `swing-sim/pipeline.rs`, `swing-sim/swarm.rs`, and
-//! the runtime configuration defaults — an invitation for the simulated
-//! and live systems to drift apart. Each constant below documents its
+//! One definition each, so the simulated and live systems cannot drift
+//! apart on a magic number. Each constant below documents its
 //! provenance: either a figure from the paper (Fan, Salonidis, Lee —
 //! *Swing: Swarm Computing for Mobile Sensing*, ICDCS 2018) or a
 //! prototype-measured value this reproduction standardizes on.

@@ -18,6 +18,11 @@ const CONTENTION: f64 = 0.7;
 /// Relative standard deviation of service-time jitter.
 const JITTER: f64 = 0.08;
 
+/// Utilization the Swing services themselves (serialization, OS work)
+/// add on a device that participates in a swarm; the paper measures
+/// ~14% per device.
+pub const FRAMEWORK_OVERHEAD_UTIL: f64 = 0.14;
+
 /// Per-device CPU model producing service times and utilization readings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
@@ -37,7 +42,7 @@ impl CpuModel {
         CpuModel {
             base_ms: profile.service_ms(workload),
             background_load: 0.0,
-            overhead_util: 0.14,
+            overhead_util: FRAMEWORK_OVERHEAD_UTIL,
         }
     }
 
@@ -47,7 +52,7 @@ impl CpuModel {
         CpuModel {
             base_ms,
             background_load: 0.0,
-            overhead_util: 0.14,
+            overhead_util: FRAMEWORK_OVERHEAD_UTIL,
         }
     }
 

@@ -2,60 +2,13 @@
 //!
 //! TCP delivers a byte stream; each [`Message`](crate::wire::Message) is
 //! wrapped in a 4-byte big-endian length prefix so receivers can recover
-//! message boundaries.
+//! message boundaries. The reactor's connections write the prefix
+//! themselves; [`FrameAssembler`] is the one place it is parsed.
 
-use std::io::{Read, Write};
 use swing_core::{Error, Result, SharedBytes};
 
 /// Largest frame accepted (64 MiB), matching the wire format's chunk cap.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
-
-/// Write one length-prefixed frame.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(Error::FrameTooLarge(payload.len()));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write one frame whose payload is split across several slices
-/// (gathered write). The length prefix covers the concatenation, so the
-/// receiver sees exactly one frame; a bulk payload can be written
-/// straight from its shared buffer without being copied into a
-/// contiguous staging area first.
-pub fn write_frame_parts<W: Write>(w: &mut W, parts: &[&[u8]]) -> Result<()> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if total > MAX_FRAME {
-        return Err(Error::FrameTooLarge(total));
-    }
-    w.write_all(&(total as u32).to_be_bytes())?;
-    for part in parts {
-        w.write_all(part)?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Read one length-prefixed frame. Returns [`Error::Closed`] on a
-/// clean EOF at a frame boundary.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Err(Error::Closed),
-        Err(e) => return Err(e.into()),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(Error::FrameTooLarge(len));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
-}
 
 /// Incremental reassembly of length-prefixed frames from arbitrarily
 /// split byte chunks.
@@ -141,44 +94,19 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    #[test]
-    fn frames_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, &[9u8; 1000]).unwrap();
-        let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap(), vec![9u8; 1000]);
-        assert!(matches!(read_frame(&mut r), Err(Error::Closed)));
-    }
-
-    #[test]
-    fn truncated_payload_is_an_io_error_not_closed() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        buf.truncate(buf.len() - 2);
-        let mut r = Cursor::new(buf);
-        assert!(matches!(read_frame(&mut r), Err(Error::Io(_))));
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_without_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        let mut r = Cursor::new(buf);
-        assert!(matches!(read_frame(&mut r), Err(Error::FrameTooLarge(_))));
+    /// Append `payload` behind its length prefix.
+    fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(payload);
     }
 
     #[test]
     fn assembler_reassembles_byte_at_a_time() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, &[9u8; 1000]).unwrap();
+        write_frame(&mut buf, b"hello");
+        write_frame(&mut buf, b"");
+        write_frame(&mut buf, &[9u8; 1000]);
         let mut asm = FrameAssembler::new();
         let mut frames = Vec::new();
         for byte in &buf {
@@ -194,8 +122,8 @@ mod tests {
     #[test]
     fn assembler_yields_multiple_frames_from_one_chunk() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"a").unwrap();
-        write_frame(&mut buf, b"bb").unwrap();
+        write_frame(&mut buf, b"a");
+        write_frame(&mut buf, b"bb");
         let mut asm = FrameAssembler::new();
         asm.feed(&buf);
         assert_eq!(asm.next_frame().unwrap().unwrap().as_slice(), b"a");
@@ -206,7 +134,7 @@ mod tests {
     #[test]
     fn assembler_holds_partial_frame_and_reports_not_at_boundary() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
+        write_frame(&mut buf, b"hello");
         let mut asm = FrameAssembler::new();
         asm.feed(&buf[..buf.len() - 1]);
         assert!(asm.next_frame().unwrap().is_none());
@@ -221,25 +149,5 @@ mod tests {
         let mut asm = FrameAssembler::new();
         asm.feed(&u32::MAX.to_be_bytes());
         assert!(matches!(asm.next_frame(), Err(Error::FrameTooLarge(_))));
-    }
-
-    #[test]
-    fn oversized_write_is_rejected() {
-        struct NullWriter;
-        impl Write for NullWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        // Don't allocate 64 MiB in a unit test; lie about the slice via a
-        // zero-length check is impossible, so use a boxed slice once.
-        let big = vec![0u8; MAX_FRAME + 1];
-        assert!(matches!(
-            write_frame(&mut NullWriter, &big),
-            Err(Error::FrameTooLarge(_))
-        ));
     }
 }

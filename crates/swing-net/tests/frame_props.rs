@@ -1,14 +1,13 @@
-//! Property tests of the framing layer's torn-read / short-write
-//! paths: however a valid frame stream is split at the byte level —
-//! kernel reads ending mid-prefix, mid-payload, or spanning several
-//! frames — the [`FrameAssembler`] reassembles the identical
-//! [`Message`] sequence, and a writer that accepts only a few bytes
-//! per call still produces the identical byte stream. A hostile stream
-//! — length prefixes that lie — is rejected or framed, never trusted.
+//! Property tests of the framing layer's torn-read path: however a
+//! valid frame stream is split at the byte level — kernel reads ending
+//! mid-prefix, mid-payload, or spanning several frames — the
+//! [`FrameAssembler`] reassembles the identical [`Message`] sequence. A
+//! hostile stream — length prefixes that lie — is rejected or framed,
+//! never trusted.
 
 use proptest::prelude::*;
 use swing_core::{Error, SeqNo, Tuple, UnitId};
-use swing_net::frame::{write_frame, write_frame_parts, MAX_FRAME};
+use swing_net::frame::MAX_FRAME;
 use swing_net::{FrameAssembler, Message};
 
 fn arb_message() -> impl Strategy<Value = Message> {
@@ -45,8 +44,20 @@ fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![data, ack, registry, Just(Message::Ping)]
 }
 
-/// The reference byte stream: every message framed back to back via the
-/// gathered-write fast path (the same encoding transports use).
+/// The reference encoder: one frame whose payload is the concatenation
+/// of `parts` behind a 4-byte big-endian length prefix — what a
+/// transport's gathered write puts on the wire.
+fn write_frame_parts(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    assert!(total <= MAX_FRAME);
+    out.extend_from_slice(&(total as u32).to_be_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+}
+
+/// The reference byte stream: every message framed back to back from
+/// its encoded segments (the same encoding transports use).
 fn frame_stream(msgs: &[Message]) -> Vec<u8> {
     let mut out = Vec::new();
     for msg in msgs {
@@ -54,7 +65,7 @@ fn frame_stream(msgs: &[Message]) -> Vec<u8> {
         let mut segs = Vec::new();
         msg.encode_segments(&mut scratch, &mut segs);
         let parts: Vec<&[u8]> = segs.iter().map(|s| s.bytes(&scratch)).collect();
-        write_frame_parts(&mut out, &parts).unwrap();
+        write_frame_parts(&mut out, &parts);
     }
     out
 }
@@ -70,25 +81,6 @@ fn split_points(stream_len: usize, cuts: &[f64]) -> Vec<usize> {
     points.sort_unstable();
     points.dedup();
     points
-}
-
-/// A writer that accepts at most `max` bytes per `write` call — the
-/// short-write behaviour of a non-blocking socket with a nearly full
-/// send buffer.
-struct ShortWriter {
-    out: Vec<u8>,
-    max: usize,
-}
-
-impl std::io::Write for ShortWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = buf.len().min(self.max);
-        self.out.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 proptest! {
@@ -131,28 +123,6 @@ proptest! {
             }
         }
         prop_assert_eq!(decoded, msgs);
-    }
-
-    /// A writer that takes only a few bytes per call drains to exactly
-    /// the reference byte stream, for both framing entry points.
-    #[test]
-    fn short_writes_drain_to_identical_bytes(
-        msg in arb_message(),
-        max in 1usize..16,
-    ) {
-        let reference = frame_stream(std::slice::from_ref(&msg));
-        // Gathered write path.
-        let mut scratch = bytes::BytesMut::new();
-        let mut segs = Vec::new();
-        msg.encode_segments(&mut scratch, &mut segs);
-        let parts: Vec<&[u8]> = segs.iter().map(|s| s.bytes(&scratch)).collect();
-        let mut w = ShortWriter { out: Vec::new(), max };
-        write_frame_parts(&mut w, &parts).unwrap();
-        prop_assert_eq!(&w.out, &reference);
-        // Contiguous write path.
-        let mut w = ShortWriter { out: Vec::new(), max };
-        write_frame(&mut w, &msg.encode()).unwrap();
-        prop_assert_eq!(&w.out, &reference);
     }
 
     /// Length prefixes an attacker chose — above `MAX_FRAME`, zero,

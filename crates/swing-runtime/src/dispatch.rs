@@ -11,11 +11,12 @@
 //!
 //! * the live executors (`executor::run_source` and friends) drive it
 //!   from their own threads under a [`RealClock`];
-//! * the deterministic harness (`sim::SimSwarm`) drives it from a
+//! * the simulation engine (`sim::SimSwarm`) drives it from a
 //!   discrete-event loop under a
-//!   [`VirtualClock`](swing_core::clock::VirtualClock);
-//! * the scenario simulator (`swing-sim`) layers its physical radio /
-//!   energy / mobility models around it.
+//!   [`VirtualClock`](swing_core::clock::VirtualClock) — every paper
+//!   figure, tournament and campaign in `swing-sim` is a scenario on
+//!   that one loop, with the radio / device / mobility models layered
+//!   around the dispatchers there.
 //!
 //! Time is an injected capability ([`ClockHandle`]); the dispatcher
 //! never reads a process global.
@@ -325,8 +326,8 @@ struct LocalDelivery {
 
 /// One function unit's outbound dispatch state machine (see the module
 /// docs). Formerly the executor-private `Outbound` struct; promoted so
-/// the deterministic harness and the scenario simulator can drive the
-/// *same* dispatch/ACK/retransmission code the live threads run.
+/// the simulation engine can drive the *same*
+/// dispatch/ACK/retransmission code the live threads run.
 pub struct Dispatcher {
     me: UnitId,
     pub(crate) router: Router,
@@ -1068,8 +1069,8 @@ impl Dispatcher {
     }
 
     /// Paced mode, for embedding layers whose flow-control state must
-    /// update between consecutive transmissions (e.g. the scenario
-    /// simulator's per-destination radio byte windows). While paced,
+    /// update between consecutive transmissions (the simulation
+    /// engine's per-destination radio byte windows). While paced,
     /// the automatic pending pushes after `dispatch`, link, and timer
     /// changes become no-ops; the embedding layer drives transmission
     /// explicitly, one tuple at a time, with [`Dispatcher::flush_one`],

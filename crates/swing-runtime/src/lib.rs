@@ -55,7 +55,9 @@ pub mod prelude {
     pub use crate::executor::{DeliveryStats, NodeConfig, SinkReport};
     pub use crate::master::{HeartbeatConfig, Placement};
     pub use crate::registry::UnitRegistry;
-    pub use crate::sim::{SimEnergyConfig, SimFabric, SimLinkConfig, SimSwarm, SimSwarmConfig};
+    pub use crate::sim::{
+        SimEnergyConfig, SimFabric, SimLinkConfig, SimSwarm, SimSwarmConfig, WorkerSpec,
+    };
     pub use crate::swarm::{LocalSwarm, LocalSwarmBuilder};
     pub use swing_core::prelude::*;
     pub use swing_telemetry::Telemetry;
@@ -70,5 +72,5 @@ pub use fabric::Fabric;
 pub use master::{HeartbeatConfig, Master, MasterConfig, MasterStatus, Placement};
 pub use node::WorkerNode;
 pub use registry::{AnyUnit, UnitRegistry};
-pub use sim::{SimFabric, SimLinkConfig, SimSwarm, SimSwarmConfig};
+pub use sim::{SimFabric, SimLinkConfig, SimSwarm, SimSwarmConfig, WorkerSpec};
 pub use swarm::{LocalSwarm, LocalSwarmBuilder};

@@ -17,18 +17,37 @@
 //! * [`SimFabric`] — the transport. `listen` registers an inbox under a
 //!   `sim:<n>` address; `dial` creates a dedicated link with its own
 //!   seeded RNG. Messages sent on a link are collected by
-//!   [`SimFabric::poll`], which applies the link's fault model and
-//!   returns `(deliver_at, addr, message)` triples for the event loop
-//!   to schedule. Crashing an address drops its inbox *and* the
-//!   receiving ends of every link toward it, so senders observe a
-//!   disconnected channel — the exact failure the live eviction path
-//!   handles.
+//!   [`SimFabric::poll`], which applies the link's model and returns
+//!   `(deliver_at, addr, message)` triples for the event loop to
+//!   schedule. Crashing an address drops its inbox *and* the receiving
+//!   ends of every link toward it, so senders observe a disconnected
+//!   channel — the exact failure the live eviction path handles.
 //! * [`SimSwarm`] — the harness. It deploys a real [`UnitRegistry`]'s
 //!   units across simulated workers (same placement rule as the
 //!   master's `SourceOnFirst`), wires their [`Dispatcher`]s through the
 //!   fabric, and pumps one [`EventQueue`] under the shared virtual
 //!   clock: source pacing ticks, message deliveries, ACK-deadline
 //!   timers, reorder-buffer polls, and scheduled crashes.
+//!
+//! This is the repository's only tuple-moving event loop: the paper's
+//! figures, the policy tournament and the chaos campaigns in `swing-sim`
+//! are all scenarios on it. What the paper's testbed adds to the uniform
+//! default — nine heterogeneous phones on one 802.11n access point — is
+//! two optional models, each resolved when a unit is placed or a link
+//! dialed and absent from the default path:
+//!
+//! * a **device description** per worker ([`WorkerSpec`]): Table I
+//!   service times under background load ([`CpuModel`]), the device's
+//!   own battery and power envelope, join/leave times and a mobility
+//!   trace;
+//! * the **radio** ([`SimSwarmConfig::radio_window_bytes`]): links that
+//!   reach a described worker carry RSSI-banded airtime on a per-link
+//!   FIFO ([`SenderRadio`]), with per-destination in-flight byte
+//!   windows expressed through the dispatchers' gates (dispatch holds
+//!   position on a full window, the mechanism behind round robin's
+//!   collapse under stragglers), a bounded sensing buffer at the
+//!   source, and a link-break timeout that feeds the crash → evict
+//!   path.
 //!
 //! [`Fabric`]: crate::fabric::Fabric
 
@@ -52,16 +71,41 @@ use swing_core::timing;
 use swing_core::unit::Context;
 use swing_core::{Error, Result};
 use swing_core::{SeqNo, Tuple, UnitId};
+use swing_device::cpu::CpuModel;
+use swing_device::mobility::{MobilityTrace, SignalZone};
+use swing_device::profile::Workload;
+use swing_device::radio::link_quality;
 use swing_device::{Battery, DeviceProfile, PowerModel};
+use swing_net::link::SenderRadio;
 use swing_net::Message;
 use swing_telemetry::{names as tn, Counter, Gauge, Histogram, Stage, Telemetry};
 
-/// Per-link transmission model of the simulated radio: a fixed base
-/// propagation delay, uniformly distributed jitter on top, and
-/// independent drop / duplication probabilities. Applied to data-plane
-/// messages ([`Message::Data`] and [`Message::Ack`]); anything else
-/// crosses the link with only the base delay, mirroring the chaos
-/// fabric's control-plane exemption.
+/// A single transmission whose airtime exceeds this is a broken link:
+/// the frame is lost and the worker whose signal the link follows is
+/// removed from the swarm — the paper's "when a network link is broken,
+/// due to poor wireless signal [...], the affected upstream units
+/// automatically remove the corresponding downstream" (§IV-C). Matters
+/// for large frames on collapsed links (a 72 kB voice frame on a poor
+/// link takes ~10 s; any real TCP stack times out).
+const LINK_BREAK_US: u64 = 8 * swing_core::SECOND_US;
+
+/// Frames a source holds while its dispatcher waits on full radio
+/// windows; a capture beyond it is shed at the source, like a camera
+/// missing frames (one second of the paper's 24 FPS stream).
+const SENSE_BUFFER_FRAMES: usize = 24;
+
+/// Per-link transmission model: a fixed base propagation delay,
+/// uniformly distributed jitter on top, and independent drop /
+/// duplication probabilities. Applied to data-plane messages
+/// ([`Message::Data`] and [`Message::Ack`]); anything else crosses the
+/// link with only the base delay, mirroring the chaos fabric's
+/// control-plane exemption.
+///
+/// A link dialed with [`SimFabric::dial_radio`] is a radio link: a FIFO
+/// ([`SenderRadio`]) whose airtime follows the RSSI band of a worker's
+/// mobility trace at send time (§VI-B1's TCP/Wi-Fi rate adaptation)
+/// stands in for the base delay and jitter; drop and duplication apply
+/// to it like to any other link.
 #[derive(Debug, Clone, Copy)]
 pub struct SimLinkConfig {
     /// Fixed one-way propagation delay, microseconds.
@@ -103,14 +147,25 @@ impl SimLinkConfig {
         self
     }
 
-    fn validate(&self) -> std::result::Result<(), String> {
+    fn validate(&self) -> Result<()> {
         for (name, p) in [("drop_prob", self.drop_prob), ("dup_prob", self.dup_prob)] {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(format!("{name} = {p} is not a probability"));
+            if !(0.0..=1.0).contains(&p) {
+                return Err(Error::Malformed(format!(
+                    "invalid link model: {name} = {p} is not a probability"
+                )));
             }
         }
         Ok(())
     }
+}
+
+/// The radio half of a link dialed with an RSSI trace.
+struct RadioLink {
+    /// Signal of the worker the link follows.
+    rssi: MobilityTrace,
+    /// Address of that worker: a broken link takes it down.
+    owner: String,
+    air: SenderRadio,
 }
 
 /// One dialed link: the channel's receiving end plus its seeded fault
@@ -121,6 +176,10 @@ struct SimLink {
     rx: MsgReceiver,
     rng: DetRng,
     cfg: SimLinkConfig,
+    /// `Some` on a radio link (resolved at dial time). Boxed: `poll`
+    /// strides over every link after every event, and almost none has
+    /// one.
+    radio: Option<Box<RadioLink>>,
 }
 
 struct SimNetState {
@@ -132,6 +191,9 @@ struct SimNetState {
     /// back to `default_link`).
     per_addr: HashMap<String, SimLinkConfig>,
     default_link: SimLinkConfig,
+    /// Workers whose radio link broke since the last
+    /// [`SimFabric::take_broken`].
+    broken: Vec<String>,
 }
 
 /// The simulated transport (see the module docs). Behaves like the
@@ -173,6 +235,7 @@ impl SimFabric {
                 links: Vec::new(),
                 per_addr: HashMap::new(),
                 default_link: SimLinkConfig::default(),
+                broken: Vec::new(),
             }),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -181,20 +244,35 @@ impl SimFabric {
 
     /// Set the fault model applied to links dialed from now on whose
     /// destination has no per-address override.
-    pub fn set_default_link(&self, cfg: SimLinkConfig) {
+    ///
+    /// # Errors
+    /// [`Error::Malformed`] if a probability is outside `[0, 1]` (every
+    /// setter checks, so `poll` never meets an invalid model).
+    pub fn set_default_link(&self, cfg: SimLinkConfig) -> Result<()> {
+        cfg.validate()?;
         self.state.lock().default_link = cfg;
+        Ok(())
     }
 
     /// Override the fault model for links dialed toward `addr` from now
     /// on (existing links keep their model).
-    pub fn set_link_to(&self, addr: &str, cfg: SimLinkConfig) {
+    ///
+    /// # Errors
+    /// As [`set_default_link`](Self::set_default_link).
+    pub fn set_link_to(&self, addr: &str, cfg: SimLinkConfig) -> Result<()> {
+        cfg.validate()?;
         self.state.lock().per_addr.insert(addr.to_owned(), cfg);
+        Ok(())
     }
 
     /// Re-model *existing and future* links toward `addr` (partition
     /// injection: a fully-dropping model isolates the endpoint's inbound
     /// data plane while control traffic still crosses).
-    pub fn set_links_toward(&self, addr: &str, cfg: SimLinkConfig) {
+    ///
+    /// # Errors
+    /// As [`set_default_link`](Self::set_default_link).
+    pub fn set_links_toward(&self, addr: &str, cfg: SimLinkConfig) -> Result<()> {
+        cfg.validate()?;
         let mut s = self.state.lock();
         s.per_addr.insert(addr.to_owned(), cfg);
         for l in &mut s.links {
@@ -202,6 +280,7 @@ impl SimFabric {
                 l.cfg = cfg;
             }
         }
+        Ok(())
     }
 
     /// Undo [`set_links_toward`](Self::set_links_toward): existing and
@@ -243,6 +322,18 @@ impl SimFabric {
     /// Create a dedicated faulted link toward `addr` and return its
     /// sending end (the `Fabric::dial` contract).
     pub fn dial_impl(&self, addr: &str) -> Result<MsgSender> {
+        self.dial(addr, None)
+    }
+
+    /// Like [`dial_impl`](Self::dial_impl) for a link that crosses the
+    /// radio of the worker listening at `owner`: its airtime follows
+    /// `rssi` (that worker's signal trace), and a broken link reports
+    /// `owner` through [`take_broken`](Self::take_broken).
+    pub fn dial_radio(&self, addr: &str, owner: &str, rssi: &MobilityTrace) -> Result<MsgSender> {
+        self.dial(addr, Some((owner, rssi)))
+    }
+
+    fn dial(&self, addr: &str, radio: Option<(&str, &MobilityTrace)>) -> Result<MsgSender> {
         let mut s = self.state.lock();
         if !s.inboxes.contains_key(addr) {
             return Err(Error::io(std::io::Error::new(
@@ -265,6 +356,13 @@ impl SimFabric {
             rx,
             rng: DetRng::seed_from_u64(seed),
             cfg,
+            radio: radio.map(|(owner, rssi)| {
+                Box::new(RadioLink {
+                    rssi: rssi.clone(),
+                    owner: owner.to_owned(),
+                    air: SenderRadio::new(),
+                })
+            }),
         });
         Ok(tx.into())
     }
@@ -277,7 +375,8 @@ impl SimFabric {
     pub fn poll(&self, now_us: u64) -> Vec<(u64, String, Message)> {
         let mut out = Vec::new();
         let mut s = self.state.lock();
-        for link in &mut s.links {
+        let SimNetState { links, broken, .. } = &mut *s;
+        for link in links {
             // Fast path: poll runs after every event over every link,
             // and almost all links are idle almost always — at
             // federation scale this scan is the simulator's hottest
@@ -294,24 +393,52 @@ impl SimFabric {
                     self.dropped.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let jitter = |rng: &mut DetRng| {
-                    if link.cfg.jitter_us > 0 {
-                        rng.random_range(0..=link.cfg.jitter_us)
-                    } else {
-                        0
+                // One crossing's delay; `None` when the radio link is
+                // broken (out of range, or the transfer would outlive
+                // any TCP timeout) and the message is lost with it.
+                let mut delay = |rng: &mut DetRng| match &mut link.radio {
+                    None => {
+                        let jitter = if link.cfg.jitter_us > 0 {
+                            rng.random_range(0..=link.cfg.jitter_us)
+                        } else {
+                            0
+                        };
+                        Some(link.cfg.base_delay_us + jitter)
+                    }
+                    Some(radio) => {
+                        let quality = link_quality(radio.rssi.rssi_at(now_us));
+                        let tx = radio.air.enqueue(now_us, air_bytes(&msg), quality, rng);
+                        match tx {
+                            Some(tx) if tx.end_us - tx.start_us <= LINK_BREAK_US => {
+                                Some(tx.end_us - now_us)
+                            }
+                            _ => {
+                                broken.push(radio.owner.clone());
+                                None
+                            }
+                        }
                     }
                 };
-                let d = link.cfg.base_delay_us + jitter(&mut link.rng);
+                let Some(d) = delay(&mut link.rng) else {
+                    continue;
+                };
                 if data_plane && link.cfg.dup_prob > 0.0 && link.rng.random_bool(link.cfg.dup_prob)
                 {
                     self.duplicated.fetch_add(1, Ordering::Relaxed);
-                    let d2 = link.cfg.base_delay_us + jitter(&mut link.rng);
-                    out.push((now_us + d2, link.to.clone(), msg.clone()));
+                    if let Some(d2) = delay(&mut link.rng) {
+                        out.push((now_us + d2, link.to.clone(), msg.clone()));
+                    }
                 }
                 out.push((now_us + d, link.to.clone(), msg));
             }
         }
         out
+    }
+
+    /// Addresses of the workers whose radio link broke since the last
+    /// call (the event loop crashes them: a broken link is a departure).
+    pub fn take_broken(&self) -> Vec<String> {
+        std::mem::take(&mut self.state.lock().broken)
     }
 
     /// Deliver a message into the inbox at `addr` (the event loop calls
@@ -334,6 +461,14 @@ impl SimFabric {
         let existed = s.inboxes.remove(addr).is_some();
         s.links.retain(|l| l.to != addr);
         existed
+    }
+}
+
+/// Bytes a message occupies on the air.
+fn air_bytes(msg: &Message) -> usize {
+    match msg {
+        Message::Data { tuple, .. } => tuple.size_bytes(),
+        _ => timing::ACK_BYTES as usize,
     }
 }
 
@@ -371,6 +506,25 @@ pub struct SimSwarmConfig {
     /// wave as a crash. `None` (the default) models wall-powered
     /// workers, the pre-energy behavior.
     pub energy: Option<SimEnergyConfig>,
+    /// What each operator stage costs on a described device (see
+    /// [`SimSwarm::start_described`]): `(stage name, workload)`, the
+    /// workload picking the device's Table I service time
+    /// ([`Workload::Custom`] for a per-stage cost on the reference
+    /// device). A stage not listed costs `service_us` everywhere.
+    pub stage_workloads: Vec<(String, Workload)>,
+    /// `Some(n)` turns on the radio: a link between two workers of which
+    /// one is described follows that worker's signal instead of
+    /// [`link`](Self::link)'s delay and jitter
+    /// ([`SimFabric::dial_radio`]), and each dispatcher may have at most
+    /// `n` bytes in flight toward one destination — sent and not yet
+    /// taken up for service, like a TCP socket buffer. A full window
+    /// closes the dispatcher's gate toward that destination and dispatch
+    /// *holds position* on a tuple committed to it, which is what lets
+    /// stragglers stall round robin ("stragglers can slow down the
+    /// entire computation", §III). An empty window always admits one
+    /// frame, so frames larger than the window still flow, one at a
+    /// time.
+    pub radio_window_bytes: Option<usize>,
 }
 
 impl Default for SimSwarmConfig {
@@ -383,7 +537,128 @@ impl Default for SimSwarmConfig {
             eviction_delay_us: timing::CONTROL_PERIOD_US,
             reorder_poll_us: 50_000,
             energy: None,
+            stage_workloads: Vec::new(),
+            radio_window_bytes: None,
         }
+    }
+}
+
+/// Static description of one simulated device, attached to a roster
+/// entry of [`SimSwarm::start_described`]. A described worker serves
+/// each tuple of a stage listed in [`SimSwarmConfig::stage_workloads`]
+/// in a time drawn from its [`CpuModel`] instead of
+/// [`SimSwarmConfig::service_us`], drains its own pack through its own
+/// power envelope, follows its join/leave times and mobility trace, and
+/// anchors the radio links that reach it. Workers without one (the
+/// source/sink host `A` of the paper's topology) are wall-side endpoints
+/// on the uniform model.
+#[derive(Debug, Clone)]
+pub struct WorkerSpec {
+    /// Hardware profile (usually one of [`swing_device::testbed`]); two
+    /// workers may be the same model.
+    pub profile: DeviceProfile,
+    /// Signal-strength trace (mobility). Leaving the access point's
+    /// range is a departure.
+    pub mobility: MobilityTrace,
+    /// Background CPU-load schedule: `(time_us, load)` steps in time
+    /// order.
+    pub background: Vec<(u64, f64)>,
+    /// When the device joins the swarm (0 = present from the start).
+    pub join_at_us: u64,
+    /// When the device abruptly leaves, if ever (a time not after the
+    /// join is ignored).
+    pub leave_at_us: Option<u64>,
+    /// Battery capacity override in joules (`None` uses the profile's
+    /// full pack). Tournament traces use small packs so battery cliffs
+    /// land inside a one-minute run.
+    pub battery_j: Option<f64>,
+}
+
+impl WorkerSpec {
+    /// A stationary, unloaded worker present for the whole run.
+    #[must_use]
+    pub fn new(profile: DeviceProfile) -> Self {
+        WorkerSpec {
+            profile,
+            mobility: MobilityTrace::in_zone(SignalZone::Good),
+            background: Vec::new(),
+            join_at_us: 0,
+            leave_at_us: None,
+            battery_j: None,
+        }
+    }
+
+    /// Place the worker in a fixed signal zone.
+    #[must_use]
+    pub fn in_zone(mut self, zone: SignalZone) -> Self {
+        self.mobility = MobilityTrace::in_zone(zone);
+        self
+    }
+
+    /// Use an arbitrary mobility trace.
+    #[must_use]
+    pub fn with_mobility(mut self, trace: MobilityTrace) -> Self {
+        self.mobility = trace;
+        self
+    }
+
+    /// Run a constant background CPU load for the whole run.
+    #[must_use]
+    pub fn with_background(mut self, load: f64) -> Self {
+        self.background = vec![(0, load)];
+        self
+    }
+
+    /// Join the swarm mid-run.
+    #[must_use]
+    pub fn joining_at(mut self, t_us: u64) -> Self {
+        self.join_at_us = t_us;
+        self
+    }
+
+    /// Leave the swarm abruptly mid-run.
+    #[must_use]
+    pub fn leaving_at(mut self, t_us: u64) -> Self {
+        self.leave_at_us = Some(t_us);
+        self
+    }
+
+    /// Start the run with a partially-sized battery pack (joules)
+    /// instead of the profile's full pack, so battery cliffs are
+    /// reachable within a short simulated run.
+    ///
+    /// # Panics
+    /// Panics if the capacity is not strictly positive.
+    #[must_use]
+    pub fn with_battery_j(mut self, capacity_j: f64) -> Self {
+        assert!(capacity_j > 0.0, "battery capacity must be positive");
+        self.battery_j = Some(capacity_j);
+        self
+    }
+
+    /// When this device is gone for good, as far as its description
+    /// says: the scripted leave or the first step of the mobility trace
+    /// out of the access point's range, whichever comes first after
+    /// `joined_us`.
+    fn departs_at(&self, joined_us: u64) -> Option<u64> {
+        let walks_off = self
+            .mobility
+            .transition_times()
+            .find(|&t| t > joined_us && !link_quality(self.mobility.rssi_at(t)).connected);
+        let leaves = self.leave_at_us.filter(|&t| t > joined_us);
+        match (leaves, walks_off) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Background load in force at `now_us`.
+    fn background_at(&self, now_us: u64) -> f64 {
+        self.background
+            .iter()
+            .take_while(|&&(t, _)| t <= now_us)
+            .last()
+            .map_or(0.0, |&(_, load)| load)
     }
 }
 
@@ -395,16 +670,11 @@ impl Default for SimSwarmConfig {
 /// so an energy trajectory is a pure function of the seed.
 #[derive(Debug, Clone)]
 pub struct SimEnergyConfig {
-    /// Device profile whose compute + Wi-Fi power envelope drives the
-    /// drain (peak CPU watts over a service span, Wi-Fi watts over a
-    /// frame's airtime at the saturated rate).
+    /// Device profile of every worker without a description of its own
+    /// ([`WorkerSpec`]): its pack, and the compute + Wi-Fi power envelope
+    /// that drives the drain (peak CPU watts over a service span, Wi-Fi
+    /// watts over a frame's airtime at the saturated rate).
     pub profile: DeviceProfile,
-    /// Battery capacity given to every worker, joules. `None` → the
-    /// profile's own pack (`DeviceProfile::battery_j`).
-    pub capacity_j: Option<f64>,
-    /// Per-worker capacity overrides by worker name, joules — for
-    /// heterogeneous packs and battery-cliff scenarios.
-    pub per_worker_j: Vec<(String, f64)>,
     /// Modeled on-air payload of one data frame, bytes (the paper's
     /// 6 kB camera frames by default).
     pub frame_bytes: u64,
@@ -423,8 +693,6 @@ impl Default for SimEnergyConfig {
         let profile = swing_device::testbed().swap_remove(1);
         SimEnergyConfig {
             profile,
-            capacity_j: None,
-            per_worker_j: Vec::new(),
             frame_bytes: 6_000,
             low_power_frac: 0.15,
             vitals_every_us: timing::CONTROL_PERIOD_US,
@@ -435,6 +703,9 @@ impl Default for SimEnergyConfig {
 /// One simulated worker's battery plus its drain bookkeeping.
 struct BatteryPack {
     battery: Battery,
+    /// The power envelope drains are computed from: the worker's own
+    /// profile when it is described, else [`SimEnergyConfig::profile`].
+    model: PowerModel,
     /// Joules drained since the last vitals tick (the drain-rate
     /// estimation window).
     window_j: f64,
@@ -444,6 +715,27 @@ struct BatteryPack {
     low_power_reported: bool,
     battery_g: Gauge,
     drain_g: Gauge,
+    /// Device-layer meters of a described worker (the Fig. 5/6 series).
+    meters: Option<DeviceMeters>,
+}
+
+/// What `top` and the power model would report for one described
+/// device, accumulated over the run and published as run-so-far means
+/// under the `swing_device_*` names at every vitals tick.
+struct DeviceMeters {
+    cpu_j: f64,
+    wifi_j: f64,
+    /// Compute time served since the last vitals tick.
+    busy_us_window: u64,
+    /// Sum over vitals ticks of total utilization (app + background).
+    util_sum: f64,
+    /// Data tuples taken into an operator mailbox on this device.
+    received: u64,
+    cpu_util_g: Gauge,
+    cpu_power_g: Gauge,
+    wifi_power_g: Gauge,
+    input_fps_g: Gauge,
+    bytes_rx_c: Counter,
 }
 
 impl BatteryPack {
@@ -461,7 +753,6 @@ impl BatteryPack {
 /// [`SimSwarmConfig::energy`] is set).
 struct EnergyRt {
     cfg: SimEnergyConfig,
-    model: PowerModel,
     /// Per-worker packs, indexed like `SimSwarm::workers`.
     packs: Vec<BatteryPack>,
     /// Virtual start of the current drain-estimation window.
@@ -475,22 +766,37 @@ struct EnergyRt {
 }
 
 impl EnergyRt {
-    fn make_pack(cfg: &SimEnergyConfig, name: &str, telemetry: &Telemetry) -> BatteryPack {
-        let capacity = cfg
-            .per_worker_j
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, j)| j)
-            .or(cfg.capacity_j)
-            .unwrap_or(cfg.profile.battery_j);
+    fn make_pack(
+        cfg: &SimEnergyConfig,
+        name: &str,
+        device: Option<&WorkerSpec>,
+        telemetry: &Telemetry,
+    ) -> BatteryPack {
+        let profile = device.map_or(&cfg.profile, |d| &d.profile);
+        let capacity = device
+            .and_then(|d| d.battery_j)
+            .unwrap_or(profile.battery_j);
         let labels: &[(&str, &str)] = &[(tn::LABEL_WORKER, name)];
         let pack = BatteryPack {
             battery: Battery::new(capacity),
+            model: PowerModel::new(profile),
             window_j: 0.0,
             drain_w: 0.0,
             low_power_reported: false,
             battery_g: telemetry.gauge(tn::BATTERY_FRAC, labels),
             drain_g: telemetry.gauge(tn::DRAIN_W, labels),
+            meters: device.map(|_| DeviceMeters {
+                cpu_j: 0.0,
+                wifi_j: 0.0,
+                busy_us_window: 0,
+                util_sum: 0.0,
+                received: 0,
+                cpu_util_g: telemetry.gauge(tn::DEVICE_CPU_UTIL, labels),
+                cpu_power_g: telemetry.gauge(tn::DEVICE_CPU_POWER_W, labels),
+                wifi_power_g: telemetry.gauge(tn::DEVICE_WIFI_POWER_W, labels),
+                input_fps_g: telemetry.gauge(tn::DEVICE_INPUT_FPS, labels),
+                bytes_rx_c: telemetry.counter(tn::NET_BYTES_RECEIVED, &[(tn::LABEL_LINK, name)]),
+            }),
         };
         pack.battery_g.set(pack.frac());
         pack
@@ -535,6 +841,11 @@ enum ExecRole {
         /// offered load above 1/service_us a queue forms — the overload
         /// regime the flow-control subsystem exists for.
         busy: bool,
+        /// Span of the service in progress (what its ACK will report).
+        serving_us: u64,
+        /// The hosting device's CPU, when it is described (resolved at
+        /// placement); `None` serves at `service_us`.
+        cpu: Option<Box<DeviceCpu>>,
     },
     Sink {
         sink: Box<dyn swing_core::unit::SinkUnit>,
@@ -549,6 +860,23 @@ enum ExecRole {
         stale_c: Counter,
         e2e_us: Histogram,
     },
+}
+
+/// Service-time model of one operator instance on a described device.
+struct DeviceCpu {
+    model: CpuModel,
+    rng: DetRng,
+}
+
+/// Bytes one dispatcher has in flight toward one downstream on a radio
+/// link (see [`SimSwarmConfig::radio_window_bytes`]).
+struct Window {
+    from: UnitId,
+    to: UnitId,
+    used: usize,
+    /// Size of the last tuple sent on this edge: what the gate assumes
+    /// the next one needs.
+    frame: usize,
 }
 
 /// One deployed unit instance: its role-specific state plus the real
@@ -572,6 +900,8 @@ struct SimWorker {
     /// Installed units, kept for re-placement: when another worker dies
     /// this one may be asked to host the orphaned stages.
     registry: UnitRegistry,
+    /// Its description, if the roster gave one.
+    device: Option<WorkerSpec>,
 }
 
 /// One gateway tuple leaving a swarm: a sampled summary of a played
@@ -622,6 +952,8 @@ enum SimEvent {
     Evict(usize),
     /// A new worker joins mid-run (index into `pending_joins`).
     Join(usize),
+    /// Every source's sensing rate becomes this many tuples per second.
+    SourceRate(f64),
     /// Periodic energy bookkeeping: fold the drain window into each
     /// pack's watt estimate and publish per-worker vitals into every
     /// live dispatcher's router.
@@ -696,13 +1028,20 @@ pub struct SimSwarm {
     recovery_h: Histogram,
     /// Virtual crash time per worker, for the recovery histogram.
     crashed_at: HashMap<usize, u64>,
+    /// Every worker death so far, any cause: `(virtual µs, name)`.
+    departures: Vec<(u64, String)>,
     /// Battery state per worker, when energy modeling is on.
     energy: Option<EnergyRt>,
     /// While true, evictions defer (no master to prune the dead).
     master_down: bool,
     deferred_evicts: Vec<usize>,
     /// Workers scheduled to join, consumed by `SimEvent::Join`.
-    pending_joins: Vec<Option<(String, UnitRegistry)>>,
+    pending_joins: Vec<Option<(String, UnitRegistry, Option<WorkerSpec>)>>,
+    /// In-flight byte windows, one per wired radio edge; empty unless
+    /// [`SimSwarmConfig::radio_window_bytes`] is set, which also puts
+    /// every dispatcher in paced mode so the gates are refreshed
+    /// between consecutive sends.
+    windows: Vec<Window>,
     /// Gateway tap: every Nth played frame egresses toward the
     /// federation. `None` = this swarm is not federated.
     gateway_every: Option<u64>,
@@ -739,6 +1078,18 @@ impl SimSwarm {
         workers: Vec<(String, UnitRegistry)>,
         config: SimSwarmConfig,
     ) -> Result<SimSwarm> {
+        let workers = workers.into_iter().map(|(n, r)| (n, r, None)).collect();
+        Self::start_described(graph, workers, config)
+    }
+
+    /// [`start`](Self::start) with an optional device description next
+    /// to each roster entry. A described worker joins at its
+    /// [`WorkerSpec::join_at_us`] rather than at the start.
+    pub fn start_described(
+        graph: AppGraph,
+        workers: Vec<(String, UnitRegistry, Option<WorkerSpec>)>,
+        config: SimSwarmConfig,
+    ) -> Result<SimSwarm> {
         if workers.is_empty() {
             return Err(Error::Malformed(
                 "a sim swarm needs at least one worker".into(),
@@ -747,15 +1098,24 @@ impl SimSwarm {
         graph
             .validate()
             .map_err(|e| Error::Malformed(format!("invalid graph: {e}")))?;
-        config
-            .link
-            .validate()
-            .map_err(|e| Error::Malformed(format!("invalid link model: {e}")))?;
         config.node.validate()?;
+        if config.radio_window_bytes == Some(0) {
+            return Err(Error::Malformed(
+                "radio_window_bytes must be positive".into(),
+            ));
+        }
+        for (name, _) in &config.stage_workloads {
+            let stage = graph.stage_by_name(name).and_then(|s| graph.stage(s).ok());
+            if stage.map(|s| s.role) != Some(Role::Operator) {
+                return Err(Error::Malformed(format!(
+                    "stage_workloads names {name}, which is no operator stage of the graph"
+                )));
+            }
+        }
 
         let clock = VirtualClock::shared();
         let fabric = SimFabric::new(config.seed);
-        fabric.set_default_link(config.link);
+        fabric.set_default_link(config.link)?;
         // Event timestamps follow the swarm's virtual clock, so a
         // traced run is reproducible down to the event ring.
         let tel_clock = Arc::clone(&clock);
@@ -780,10 +1140,12 @@ impl SimSwarm {
             replaced_c: telemetry.counter(tn::FAILOVER_REPLACED_UNITS, &[]),
             recovery_h: telemetry.histogram(tn::FAILOVER_RECOVERY_US, &[]),
             crashed_at: HashMap::new(),
+            departures: Vec::new(),
             energy: None,
             master_down: false,
             deferred_evicts: Vec::new(),
             pending_joins: Vec::new(),
+            windows: Vec::new(),
             gateway_every: None,
             gateway_played: 0,
             gateway_seq: 0,
@@ -795,14 +1157,22 @@ impl SimSwarm {
         };
         sim.epoch_g.set_u64(sim.epoch);
 
-        for (name, registry) in workers {
+        for (name, registry, device) in workers {
+            if let Some(at) = device.as_ref().map(|d| d.join_at_us).filter(|&t| t > 0) {
+                sim.join_at(name, registry, device, at);
+                continue;
+            }
             let (addr, inbox) = fabric.listen_impl();
+            if let Some(t) = device.as_ref().and_then(|d| d.departs_at(0)) {
+                sim.queue.schedule(t, SimEvent::Crash(sim.workers.len()));
+            }
             sim.workers.push(SimWorker {
                 name,
                 addr,
                 inbox,
                 alive: true,
                 registry,
+                device,
             });
         }
 
@@ -810,12 +1180,11 @@ impl SimSwarm {
             let packs = sim
                 .workers
                 .iter()
-                .map(|w| EnergyRt::make_pack(&cfg, &w.name, &telemetry))
+                .map(|w| EnergyRt::make_pack(&cfg, &w.name, w.device.as_ref(), &telemetry))
                 .collect();
             sim.queue
                 .schedule(cfg.vitals_every_us, SimEvent::VitalsTick);
             sim.energy = Some(EnergyRt {
-                model: PowerModel::new(&cfg.profile),
                 packs,
                 window_start_us: 0,
                 deaths_c: telemetry.counter(tn::DEATHS, &[]),
@@ -832,15 +1201,19 @@ impl SimSwarm {
         for stage in stages {
             let spec = sim.graph.stage(stage).expect("stage exists");
             let (role, parallelism) = (spec.role, spec.parallelism);
+            // A worker hosts the stages its registry has a unit for.
             for w in sim.hosts_for(role, parallelism) {
-                let Some(unit) = sim.place_unit(stage, w, 0) else {
-                    return Err(Error::Malformed(format!(
-                        "worker {} has no unit installed for stage {}",
-                        sim.workers[w].name,
-                        sim.graph.stage(stage).expect("stage exists").name
-                    )));
-                };
-                stage_instances.entry(stage).or_default().push(unit);
+                if let Some(unit) = sim.place_unit(stage, w, 0) {
+                    stage_instances.entry(stage).or_default().push(unit);
+                }
+            }
+            // An empty stage is a deployment error, unless described
+            // devices are still to join and may bring the unit.
+            if !stage_instances.contains_key(&stage) && sim.pending_joins.is_empty() {
+                return Err(Error::Malformed(format!(
+                    "no worker has a unit installed for stage {}",
+                    sim.graph.stage(stage).expect("stage exists").name
+                )));
             }
         }
 
@@ -917,6 +1290,7 @@ impl SimSwarm {
         node.worker_label.clone_from(&self.workers[w].name);
         let mut disp = Dispatcher::new(unit, &node);
         disp.enable_loss_log();
+        disp.set_paced(self.config.radio_window_bytes.is_some());
         let role = match any {
             AnyUnit::Source(src) => ExecRole::Source {
                 src,
@@ -931,10 +1305,26 @@ impl SimSwarm {
                 } else {
                     Mailbox::from_config(&node.flow)
                 };
+                let cpu = self.workers[w].device.as_ref().and_then(|d| {
+                    let (_, workload) = self
+                        .config
+                        .stage_workloads
+                        .iter()
+                        .find(|(stage, _)| *stage == spec.name)?;
+                    Some(Box::new(DeviceCpu {
+                        model: CpuModel::new(&d.profile, *workload),
+                        rng: DetRng::seed_from_u64(
+                            self.config.seed
+                                ^ 0xD6E8_FEB8_6659_FD93u64.wrapping_mul(u64::from(unit.0) + 1),
+                        ),
+                    }))
+                });
                 ExecRole::Operator {
                     op,
                     mailbox,
                     busy: false,
+                    serving_us: 0,
+                    cpu,
                 }
             }
             AnyUnit::Sink(sink) => {
@@ -976,14 +1366,37 @@ impl SimSwarm {
     fn wire_pair(&mut self, up: UnitId, down: UnitId, kind: &EdgeKind) -> Result<()> {
         let up_idx = self.by_unit[&up];
         let down_idx = self.by_unit[&down];
-        let down_addr = self.workers[self.execs[down_idx].worker].addr.clone();
-        let up_addr = self.workers[self.execs[up_idx].worker].addr.clone();
-        let tx_data = self.fabric.dial_impl(&down_addr)?;
+        let (up_w, down_w) = (self.execs[up_idx].worker, self.execs[down_idx].worker);
+        let tx_data = self.dial(up_w, down_w)?;
         self.execs[up_idx].disp.set_edge_kind(kind);
         self.execs[up_idx].disp.add_downstream(down, tx_data);
-        let tx_ack = self.fabric.dial_impl(&up_addr)?;
+        let tx_ack = self.dial(down_w, up_w)?;
         self.execs[down_idx].disp.add_upstream(up, tx_ack);
+        if self.config.radio_window_bytes.is_some() {
+            self.windows.push(Window {
+                from: up,
+                to: down,
+                used: 0,
+                frame: 0,
+            });
+        }
         Ok(())
+    }
+
+    /// Dial a link from worker `from` to worker `to`. With the radio on,
+    /// a link between two workers crosses the radio of whichever is a
+    /// described device (the receiver's, when both are); within one
+    /// worker, or between two undescribed ones, it is a plain link.
+    fn dial(&self, from: usize, to: usize) -> Result<MsgSender> {
+        let addr = &self.workers[to].addr;
+        let radio_end = [to, from]
+            .into_iter()
+            .filter(|_| from != to && self.config.radio_window_bytes.is_some())
+            .find_map(|w| Some((&self.workers[w].addr, self.workers[w].device.as_ref()?)));
+        match radio_end {
+            Some((owner, device)) => self.fabric.dial_radio(addr, owner, &device.mobility),
+            None => self.fabric.dial_impl(addr),
+        }
     }
 
     /// The virtual clock every unit in this swarm reads.
@@ -1030,9 +1443,19 @@ impl SimSwarm {
     /// epoch and reconciles: the newcomer picks up any operator
     /// instances the placement policy wants on it.
     pub fn add_worker_at(&mut self, name: &str, registry: UnitRegistry, at_us: u64) {
+        self.join_at(name.to_string(), registry, None, at_us);
+    }
+
+    fn join_at(&mut self, name: String, reg: UnitRegistry, device: Option<WorkerSpec>, at_us: u64) {
         let j = self.pending_joins.len();
-        self.pending_joins.push(Some((name.to_string(), registry)));
+        self.pending_joins.push(Some((name, reg, device)));
         self.queue.schedule(at_us, SimEvent::Join(j));
+    }
+
+    /// Change every source's sensing rate to `fps` at absolute virtual
+    /// time `at_us` (a demand step: a flash crowd arriving).
+    pub fn set_source_rate_at(&mut self, at_us: u64, fps: f64) {
+        self.queue.schedule(at_us, SimEvent::SourceRate(fps));
     }
 
     /// Take the control plane offline over `[from_us, to_us)`: worker
@@ -1140,6 +1563,14 @@ impl SimSwarm {
         (self.gateway_egress_c.get(), self.gateway_ingress_c.get())
     }
 
+    /// Every worker lost so far — scheduled crash, battery cliff, walk
+    /// out of radio range, broken link — as `(virtual µs, name)` in
+    /// death order.
+    #[must_use]
+    pub fn departures(&self) -> &[(u64, String)] {
+        &self.departures
+    }
+
     /// Names of workers currently alive, in roster order.
     #[must_use]
     pub fn alive_workers(&self) -> Vec<String> {
@@ -1147,6 +1578,24 @@ impl SimSwarm {
             .iter()
             .filter(|w| w.alive)
             .map(|w| w.name.clone())
+            .collect()
+    }
+
+    /// Every unit instance placed so far, dead ones included: `(unit,
+    /// stage name, worker name)` — what maps the `unit` of a lifecycle
+    /// event or a metric label back to a device.
+    #[must_use]
+    pub fn placements(&self) -> Vec<(UnitId, String, String)> {
+        self.execs
+            .iter()
+            .map(|e| {
+                let stage = self.graph.stage(e.stage).expect("stage exists");
+                (
+                    e.unit,
+                    stage.name.clone(),
+                    self.workers[e.worker].name.clone(),
+                )
+            })
             .collect()
     }
 
@@ -1314,9 +1763,66 @@ impl SimSwarm {
     // -- internals ---------------------------------------------------------
 
     /// Move messages the last event put on the wire into the queue.
+    ///
+    /// Under radio windows the dispatchers are paced, so this is also
+    /// where tuples leave them: one per dispatcher per round, each
+    /// observed on the wire (window charged, gate refreshed) before the
+    /// next is released, until every pending queue is empty or held.
     fn pump_fabric(&mut self) {
-        for (at, addr, msg) in self.fabric.poll(self.queue.now_us()) {
-            self.queue.schedule(at, SimEvent::Deliver { addr, msg });
+        let now = self.queue.now_us();
+        loop {
+            for (at, addr, msg) in self.fabric.poll(now) {
+                if let (Some(cap), Message::Data { dest, from, tuple }) =
+                    (self.config.radio_window_bytes, &msg)
+                {
+                    self.window_update(*from, *dest, cap, |w| {
+                        w.frame = tuple.size_bytes();
+                        w.used += w.frame;
+                    });
+                }
+                self.queue.schedule(at, SimEvent::Deliver { addr, msg });
+            }
+            if self.config.radio_window_bytes.is_none() {
+                return;
+            }
+            for addr in self.fabric.take_broken() {
+                if let Some(w) = self.workers.iter().position(|x| x.addr == addr) {
+                    self.on_crash(w, now);
+                }
+            }
+            let mut sent = false;
+            for e in &mut self.execs {
+                sent |= e.alive && e.disp.flush_one();
+            }
+            if !sent {
+                return;
+            }
+        }
+    }
+
+    /// Adjust the in-flight window of the radio edge `from → to` and
+    /// mirror it onto the upstream dispatcher's gate: closed while a
+    /// further frame would not fit (an empty window always admits one).
+    fn window_update(&mut self, from: UnitId, to: UnitId, cap: usize, f: impl FnOnce(&mut Window)) {
+        let Some(w) = self
+            .windows
+            .iter_mut()
+            .find(|w| w.from == from && w.to == to)
+        else {
+            return;
+        };
+        f(w);
+        let admits = w.used == 0 || w.used + w.frame <= cap;
+        if let Some(&i) = self.by_unit.get(&from) {
+            self.execs[i].disp.set_link_up(to, admits);
+        }
+    }
+
+    /// `bytes` sent on the radio edge `from → to` have left the
+    /// receiver's socket buffer. A no-op with the radio off.
+    fn window_release(&mut self, from: UnitId, to: UnitId, bytes: usize) {
+        if let Some(cap) = self.config.radio_window_bytes {
+            self.window_update(from, to, cap, |w| w.used = w.used.saturating_sub(bytes));
         }
     }
 
@@ -1400,6 +1906,13 @@ impl SimSwarm {
             SimEvent::Crash(w) => self.on_crash(w, now),
             SimEvent::Evict(w) => self.on_evict(w, now),
             SimEvent::Join(j) => self.on_join(j, now),
+            SimEvent::SourceRate(fps) => {
+                for e in &mut self.execs {
+                    if let ExecRole::Source { pacer, .. } = &mut e.role {
+                        pacer.set_rate(fps);
+                    }
+                }
+            }
             SimEvent::VitalsTick => self.on_vitals_tick(now),
             SimEvent::MasterDown => self.master_down = true,
             SimEvent::MasterUp => {
@@ -1439,7 +1952,9 @@ impl SimSwarm {
                         drop_prob: 1.0,
                         ..self.config.link
                     };
-                    self.fabric.set_links_toward(&addr, cfg);
+                    self.fabric
+                        .set_links_toward(&addr, cfg)
+                        .expect("the swarm's validated link model, fully dropping");
                 }
             }
         }
@@ -1487,21 +2002,28 @@ impl SimSwarm {
     /// (the profile's peak CPU envelope — the modeled service burns
     /// the whole span).
     fn drain_cpu(&mut self, w: usize, span_us: u64, now: u64) {
-        let Some(energy) = &self.energy else {
+        let Some(pack) = self.energy.as_mut().and_then(|e| e.packs.get_mut(w)) else {
             return;
         };
-        let joules = energy.model.cpu_power_w(1.0) * span_us as f64 / 1e6;
+        let joules = pack.model.cpu_power_w(1.0) * span_us as f64 / 1e6;
+        if let Some(m) = &mut pack.meters {
+            m.cpu_j += joules;
+            m.busy_us_window += span_us;
+        }
         self.drain_worker(w, joules, now);
     }
 
     /// Charge worker `w` for the airtime of `bytes` on the wire at the
     /// profile's saturated Wi-Fi rate.
     fn drain_wifi(&mut self, w: usize, bytes: u64, now: u64) {
-        let Some(energy) = &self.energy else {
+        let Some(pack) = self.energy.as_mut().and_then(|e| e.packs.get_mut(w)) else {
             return;
         };
-        let airtime_s = bytes as f64 / energy.model.wifi_peak_rate_bps;
-        let joules = energy.model.peak_wifi_w * airtime_s;
+        let airtime_s = bytes as f64 / pack.model.wifi_peak_rate_bps;
+        let joules = pack.model.peak_wifi_w * airtime_s;
+        if let Some(m) = pack.meters.as_mut().filter(|_| self.workers[w].alive) {
+            m.wifi_j += joules;
+        }
         self.drain_worker(w, joules, now);
     }
 
@@ -1510,13 +2032,21 @@ impl SimSwarm {
     /// at delivery time (one virtual link delay after the send), which
     /// keeps every drain a pure function of the event history.
     fn charge_transfer(&mut self, rx_worker: usize, msg: &Message, now: u64) {
-        if self.energy.is_none() {
+        let Some(energy) = &mut self.energy else {
             return;
-        }
+        };
         let (bytes, sender) = match msg {
-            Message::Data { from, .. } => {
-                let Some(energy) = &self.energy else { return };
-                (energy.cfg.frame_bytes + timing::TUPLE_OVERHEAD_BYTES, *from)
+            // The radio variant carries the tuple's own size on the
+            // air; the uniform model charges the configured frame.
+            Message::Data { from, tuple, .. } => {
+                let bytes = match self.config.radio_window_bytes {
+                    Some(_) => tuple.size_bytes() as u64,
+                    None => energy.cfg.frame_bytes + timing::TUPLE_OVERHEAD_BYTES,
+                };
+                if let Some(m) = energy.packs.get(rx_worker).and_then(|p| p.meters.as_ref()) {
+                    m.bytes_rx_c.add(bytes);
+                }
+                (bytes, *from)
             }
             Message::Ack { from, .. } => (timing::ACK_BYTES, *from),
             _ => return,
@@ -1528,12 +2058,56 @@ impl SimSwarm {
         self.drain_wifi(rx_worker, bytes, now);
     }
 
+    /// Device-layer half of the vitals tick, for described workers:
+    /// charge the framework overhead the window's compute left room
+    /// for, and publish the run-so-far means of utilization, power and
+    /// input rate under the `swing_device_*` names.
+    fn meter_devices(&mut self, now: u64) {
+        let Some(energy) = &mut self.energy else {
+            return;
+        };
+        let dt_us = (now - energy.window_start_us).max(1);
+        let (ticks, run_s) = (
+            (now / energy.cfg.vitals_every_us.max(1)) as f64,
+            now as f64 / 1e6,
+        );
+        let mut overhead: Vec<(usize, f64)> = Vec::new();
+        for (w, pack) in energy.packs.iter_mut().enumerate() {
+            let worker = &self.workers[w];
+            let (Some(m), Some(device)) = (&mut pack.meters, &worker.device) else {
+                continue;
+            };
+            let busy = (m.busy_us_window as f64 / dt_us as f64).min(1.0);
+            m.busy_us_window = 0;
+            // Swing's own services cost ~14% utilization on a device
+            // while it is in the swarm (§VI-B).
+            let in_swarm = if worker.alive {
+                swing_device::cpu::FRAMEWORK_OVERHEAD_UTIL
+            } else {
+                0.0
+            };
+            let app_util = (busy + in_swarm).min(1.0);
+            let joules = pack.model.cpu_power_w(app_util - busy) * dt_us as f64 / 1e6;
+            m.cpu_j += joules;
+            overhead.push((w, joules));
+            m.util_sum += (app_util + device.background_at(now)).min(1.0);
+            m.cpu_util_g.set(m.util_sum / ticks);
+            m.cpu_power_g.set(m.cpu_j / run_s);
+            m.wifi_power_g.set(m.wifi_j / run_s);
+            m.input_fps_g.set(m.received as f64 / run_s);
+        }
+        for (w, joules) in overhead {
+            self.drain_worker(w, joules, now);
+        }
+    }
+
     /// Periodic energy bookkeeping: finish the drain-estimation
     /// window, refresh the per-worker battery gauges, and publish each
     /// downstream's hosting-worker vitals into every live dispatcher's
     /// router — the snapshot the selection policy reads on its next
     /// re-selection round.
     fn on_vitals_tick(&mut self, now: u64) {
+        self.meter_devices(now);
         let Some(energy) = &mut self.energy else {
             return;
         };
@@ -1546,8 +2120,20 @@ impl SimSwarm {
         }
         energy.window_start_us = now;
         let every = energy.cfg.vitals_every_us;
-        let readings: Vec<(f64, f64)> =
-            energy.packs.iter().map(|p| (p.frac(), p.drain_w)).collect();
+        // A described worker also reports the signal its trace gives it
+        // now; the others have no radio to read (NaN = not reported).
+        let readings: Vec<(f64, f64, f64)> = energy
+            .packs
+            .iter()
+            .zip(&self.workers)
+            .map(|(p, w)| {
+                let rssi = w
+                    .device
+                    .as_ref()
+                    .map_or(f64::NAN, |d| d.mobility.rssi_at(now));
+                (p.frac(), p.drain_w, rssi)
+            })
+            .collect();
         let unit_worker: HashMap<UnitId, usize> = self
             .execs
             .iter()
@@ -1563,12 +2149,10 @@ impl SimSwarm {
                 let Some(&w) = unit_worker.get(&d) else {
                     continue;
                 };
-                let Some(&(frac, drain)) = readings.get(w) else {
+                let Some(&(frac, drain, rssi)) = readings.get(w) else {
                     continue;
                 };
-                self.execs[i]
-                    .disp
-                    .note_worker_vitals(d, frac, drain, f64::NAN);
+                self.execs[i].disp.note_worker_vitals(d, frac, drain, rssi);
             }
         }
         self.queue.schedule(now + every, SimEvent::VitalsTick);
@@ -1597,6 +2181,58 @@ impl SimSwarm {
         self.energy.as_ref().map_or(&[], |e| &e.low_power)
     }
 
+    /// The tuple at the head of operator `i`'s mailbox goes into
+    /// service: draw its span (the device's CPU model under the
+    /// background load of the moment, or the uniform `service_us`) and
+    /// schedule the completion.
+    fn begin_service(&mut self, i: usize, now: u64) {
+        let e = &mut self.execs[i];
+        let ExecRole::Operator {
+            mailbox,
+            busy,
+            serving_us,
+            cpu,
+            ..
+        } = &mut e.role
+        else {
+            return;
+        };
+        *busy = !mailbox.is_empty();
+        if !*busy {
+            return;
+        }
+        *serving_us = match (cpu, &self.workers[e.worker].device) {
+            (Some(cpu), Some(device)) => {
+                cpu.model.set_background_load(device.background_at(now));
+                cpu.model.sample_service_us(&mut cpu.rng)
+            }
+            _ => self.config.service_us,
+        };
+        self.queue
+            .schedule(now + *serving_us, SimEvent::ServiceDone(i));
+        self.take_up(i, now);
+    }
+
+    /// The tuple now at the head of operator `i`'s mailbox is the one in
+    /// service — a service began, or `ShedOldest` evicted the one that
+    /// was: stamp it and, the receiver having read it out of its socket
+    /// buffer, release its bytes from the sender's radio window.
+    fn take_up(&mut self, i: usize, now: u64) {
+        let e = &self.execs[i];
+        let ExecRole::Operator { mailbox, .. } = &e.role else {
+            return;
+        };
+        let Some((from, tuple)) = mailbox.front() else {
+            return;
+        };
+        let (from, to, bytes) = (*from, e.unit, tuple.size_bytes());
+        self.config
+            .node
+            .telemetry
+            .record_stage_at(now, tuple.seq().0, to.0, Stage::Started);
+        self.window_release(from, to, bytes);
+    }
+
     /// One serialized operator service completes: serve the tuple at
     /// the head of the mailbox — the run_operator data path, event-
     /// shaped (process, ACK with the modeled service time, dispatch
@@ -1605,13 +2241,20 @@ impl SimSwarm {
         if !self.execs[i].alive {
             return;
         }
-        let service_us = self.config.service_us;
         let worker = self.execs[i].worker;
         let telemetry = self.config.node.telemetry.clone();
         let e = &mut self.execs[i];
-        let ExecRole::Operator { op, mailbox, busy } = &mut e.role else {
+        let ExecRole::Operator {
+            op,
+            mailbox,
+            busy,
+            serving_us,
+            ..
+        } = &mut e.role
+        else {
             return;
         };
+        let service_us = *serving_us;
         let Some((from, tuple)) = mailbox.pop() else {
             *busy = false;
             return;
@@ -1643,12 +2286,7 @@ impl SimSwarm {
             }
             e.disp.dispatch(o);
         }
-        if mailbox.is_empty() {
-            *busy = false;
-        } else {
-            self.queue
-                .schedule(now + service_us, SimEvent::ServiceDone(i));
-        }
+        self.begin_service(i, now);
         self.arm_timer(i, now);
         // The service span just burned the worker's compute envelope.
         self.drain_cpu(worker, service_us, now);
@@ -1677,7 +2315,11 @@ impl SimSwarm {
         // an inadmissible tick skips capture entirely; under the shed
         // policies the frame is sensed (consuming a sequence number)
         // but shed before dispatch.
-        let admit = e.disp.admits_new();
+        // Under radio windows dispatch can stall, and the sensing
+        // buffer behind it is bounded.
+        let admit = e.disp.admits_new()
+            && (self.config.radio_window_bytes.is_none()
+                || e.disp.pending_len() < SENSE_BUFFER_FRAMES);
         if !admit && e.disp.flow().policy == OverloadPolicy::Block {
             e.disp.count_source_paused();
             let next = pacer.next_due_us();
@@ -1705,6 +2347,7 @@ impl SimSwarm {
                     e.disp.dispatch(tuple);
                 } else {
                     e.disp.count_shed_at_source();
+                    telemetry.record_stage(tuple.seq().0, e.unit.0, Stage::Shed);
                 }
                 let next = pacer.next_due_us();
                 self.queue.schedule(next, SimEvent::SourceTick(i));
@@ -1754,34 +2397,56 @@ impl SimSwarm {
         if !self.execs[i].alive {
             return;
         }
-        let service_us = self.config.service_us;
         let telemetry = self.config.node.telemetry.clone();
         let mut played_n = 0u64;
         let e = &mut self.execs[i];
         let seq = tuple.seq();
         let sent_at = tuple.sent_at_us();
+        // What the radio window of the edge must learn: bytes that left
+        // the socket buffer without going into service, an idle operator
+        // starting on the tuple, or the head of the queue changing under
+        // a service in progress.
+        let bytes = self
+            .config
+            .radio_window_bytes
+            .map_or(0, |_| tuple.size_bytes());
+        let mut release: Option<(UnitId, usize)> = None;
+        let (mut start, mut took_over) = (false, false);
         match &mut e.role {
             ExecRole::Source { .. } => {}
             ExecRole::Operator { mailbox, busy, .. } => {
-                if !e.disp.observe_fresh(from, seq) {
+                if e.disp.observe_fresh(from, seq) {
+                    telemetry.record_stage_at(now, seq.0, dest.0, Stage::Arrived);
+                    if let Some(m) = self
+                        .energy
+                        .as_mut()
+                        .and_then(|en| en.packs[e.worker].meters.as_mut())
+                    {
+                        m.received += 1;
+                    }
+                    // Into the mailbox; shed victims are ACKed immediately
+                    // so the upstream settles (shed, not lost).
+                    match mailbox.push((from, tuple)) {
+                        PushOutcome::Queued => {}
+                        PushOutcome::ShedOldest((vf, v)) => {
+                            // The oldest is the one in service: the next
+                            // in line takes its place.
+                            e.disp.ack(vf, v.seq(), v.sent_at_us(), 0);
+                            e.disp.count_shed_in_queue();
+                            took_over = *busy;
+                        }
+                        PushOutcome::Rejected((vf, v)) => {
+                            e.disp.ack(vf, v.seq(), v.sent_at_us(), 0);
+                            e.disp.count_shed_in_queue();
+                            release = Some((vf, bytes));
+                        }
+                    }
+                    start = !*busy;
+                } else {
                     // Duplicate (retransmit after a lost ACK — possibly
                     // of an already-shed frame): re-ACK, queue nothing.
                     e.disp.ack(from, seq, sent_at, 0);
-                    return;
-                }
-                // Into the mailbox; shed victims are ACKed immediately
-                // so the upstream settles (shed, not lost).
-                match mailbox.push((from, tuple)) {
-                    PushOutcome::Queued => {}
-                    PushOutcome::ShedOldest((vf, v)) | PushOutcome::Rejected((vf, v)) => {
-                        e.disp.ack(vf, v.seq(), v.sent_at_us(), 0);
-                        e.disp.count_shed_in_queue();
-                    }
-                }
-                if !*busy && !mailbox.is_empty() {
-                    *busy = true;
-                    self.queue
-                        .schedule(now + service_us, SimEvent::ServiceDone(i));
+                    release = Some((from, bytes));
                 }
             }
             ExecRole::Sink {
@@ -1793,15 +2458,23 @@ impl SimSwarm {
                 ..
             } => {
                 e.disp.ack(from, seq, sent_at, 0);
-                if !e.disp.observe_fresh(from, seq) {
-                    return;
-                }
-                telemetry.record_stage(seq.0, dest.0, Stage::Played);
-                for played in reorder.push(seq, tuple, now) {
-                    Self::play_one(played.item, now, meter, sink, played_c, e2e_us);
-                    played_n += 1;
+                release = Some((from, bytes));
+                if e.disp.observe_fresh(from, seq) {
+                    telemetry.record_stage(seq.0, dest.0, Stage::Played);
+                    for played in reorder.push(seq, tuple, now) {
+                        Self::play_one(played.item, now, meter, sink, played_c, e2e_us);
+                        played_n += 1;
+                    }
                 }
             }
+        }
+        if start {
+            self.begin_service(i, now);
+        } else if took_over {
+            self.take_up(i, now);
+        }
+        if let Some((from, bytes)) = release {
+            self.window_release(from, dest, bytes);
         }
         self.note_gateway_plays(played_n, now);
     }
@@ -1847,12 +2520,28 @@ impl SimSwarm {
         }
         self.workers[w].alive = false;
         self.crashed_at.insert(w, now);
+        self.departures.push((now, self.workers[w].name.clone()));
         self.fabric.crash(&self.workers[w].addr);
         for e in &mut self.execs {
             if e.worker == w {
                 e.alive = false;
             }
         }
+        // A radio peer's departure resets the connections toward it: the
+        // upstream dispatchers drop the downstream on the spot,
+        // reclaiming or writing off what they had in flight ("the
+        // affected upstream units automatically remove the
+        // corresponding downstream", §IV-C) — one holding position on a
+        // full window would otherwise never touch the broken link.
+        let execs = &mut self.execs;
+        let by_unit = &self.by_unit;
+        self.windows.retain(|win| {
+            let (up, down) = (by_unit[&win.from], by_unit[&win.to]);
+            if execs[down].worker == w {
+                execs[up].disp.remove_downstream(win.to);
+            }
+            execs[up].worker != w && execs[down].worker != w
+        });
         // The master's heartbeat prune notices after a detection delay;
         // dispatchers with traffic in flight discover the broken links
         // themselves before that.
@@ -1904,13 +2593,18 @@ impl SimSwarm {
     }
 
     fn on_join(&mut self, j: usize, now: u64) {
-        let Some((name, registry)) = self.pending_joins.get_mut(j).and_then(Option::take) else {
+        let Some((name, registry, device)) = self.pending_joins.get_mut(j).and_then(Option::take)
+        else {
             return;
         };
         let (addr, inbox) = self.fabric.listen_impl();
         if let Some(energy) = &mut self.energy {
-            let pack = EnergyRt::make_pack(&energy.cfg, &name, &self.config.node.telemetry);
+            let telemetry = &self.config.node.telemetry;
+            let pack = EnergyRt::make_pack(&energy.cfg, &name, device.as_ref(), telemetry);
             energy.packs.push(pack);
+        }
+        if let Some(t) = device.as_ref().and_then(|d| d.departs_at(now)) {
+            self.queue.schedule(t, SimEvent::Crash(self.workers.len()));
         }
         self.workers.push(SimWorker {
             name,
@@ -1918,6 +2612,7 @@ impl SimSwarm {
             inbox,
             alive: true,
             registry,
+            device,
         });
         self.epoch += 1;
         self.epoch_g.set_u64(self.epoch);
@@ -2168,11 +2863,77 @@ mod tests {
     }
 
     #[test]
-    fn link_model_rejects_bad_probability() {
-        let mut cfg = SimSwarmConfig::default();
-        cfg.link.drop_prob = 1.5;
-        let err = SimSwarm::start(graph(), vec![("A".into(), UnitRegistry::new())], cfg);
-        assert!(err.is_err());
+    fn start_rejects_a_malformed_config() {
+        let start = |cfg| SimSwarm::start(graph(), vec![("A".into(), registry(0))], cfg);
+        let mut bad_link = SimSwarmConfig::default();
+        bad_link.link.drop_prob = 1.5;
+        let zero_window = SimSwarmConfig {
+            radio_window_bytes: Some(0),
+            ..SimSwarmConfig::default()
+        };
+        // A mistyped stage would silently cost `service_us`.
+        let unknown_stage = SimSwarmConfig {
+            stage_workloads: vec![("wrok".into(), Workload::FaceRecognition)],
+            ..SimSwarmConfig::default()
+        };
+        for cfg in [bad_link, zero_window, unknown_stage] {
+            assert!(matches!(start(cfg), Err(Error::Malformed(_))));
+        }
+    }
+
+    /// A link model no setter may let through: `poll` would otherwise
+    /// meet it later, inside `random_bool`'s assertion.
+    fn bad_links() -> [SimLinkConfig; 3] {
+        let ok = SimLinkConfig::default();
+        [ok.with_drop(1.5), ok.with_drop(f64::NAN), ok.with_dup(-0.1)]
+    }
+
+    fn assert_malformed(r: Result<()>, what: &str) {
+        assert!(
+            matches!(r, Err(Error::Malformed(_))),
+            "{what} accepted an invalid link model"
+        );
+    }
+
+    #[test]
+    fn set_default_link_validates() {
+        let fabric = SimFabric::new(1);
+        for bad in bad_links() {
+            assert_malformed(fabric.set_default_link(bad), "set_default_link");
+        }
+        assert!(fabric
+            .set_default_link(SimLinkConfig::default().with_drop(1.0))
+            .is_ok());
+    }
+
+    #[test]
+    fn set_link_to_validates() {
+        let fabric = SimFabric::new(1);
+        let (addr, _inbox) = fabric.listen_impl();
+        for bad in bad_links() {
+            assert_malformed(fabric.set_link_to(&addr, bad), "set_link_to");
+        }
+        assert!(fabric
+            .set_link_to(&addr, SimLinkConfig::default().with_dup(1.0))
+            .is_ok());
+    }
+
+    #[test]
+    fn set_links_toward_validates_and_leaves_live_links_alone() {
+        let fabric = SimFabric::new(1);
+        let (addr, inbox) = fabric.listen_impl();
+        let tx = fabric.dial_impl(&addr).unwrap();
+        for bad in bad_links() {
+            assert_malformed(fabric.set_links_toward(&addr, bad), "set_links_toward");
+        }
+        // The rejected models never reached the live link: a message
+        // still crosses it, and `poll` has nothing to trip over.
+        tx.send(Message::Stop).unwrap();
+        let due = fabric.poll(0);
+        assert_eq!(due.len(), 1);
+        let (_, to, msg) = due.into_iter().next().unwrap();
+        assert!(fabric.deliver(&to, msg));
+        assert!(inbox.try_recv().is_ok());
     }
 
     /// Which workers host the named stage right now.
@@ -2361,20 +3122,15 @@ mod tests {
         assert_eq!(a, b, "crash + join must replay byte-identically");
     }
 
-    fn energy(per_worker: &[(&str, f64)]) -> SimEnergyConfig {
-        SimEnergyConfig {
-            per_worker_j: per_worker
-                .iter()
-                .map(|&(n, j)| (n.to_string(), j))
-                .collect(),
-            ..SimEnergyConfig::default()
-        }
+    /// A Galaxy-Nexus-class device (the default energy profile's).
+    fn device() -> WorkerSpec {
+        WorkerSpec::new(swing_device::testbed().swap_remove(1))
     }
 
     #[test]
     fn batteries_drain_monotonically_under_load() {
         let mut cfg = config(5, 0.0);
-        cfg.energy = Some(energy(&[]));
+        cfg.energy = Some(SimEnergyConfig::default());
         let mut swarm = SimSwarm::start(
             graph(),
             vec![("A".into(), registry(u64::MAX)), ("B".into(), registry(0))],
@@ -2409,13 +3165,13 @@ mod tests {
         let mut cfg = config(6, 0.0);
         // B gets a pack a few hundred dispatch/ACK cycles deep; C is
         // healthy and inherits the full load after B's cliff.
-        cfg.energy = Some(energy(&[("B", 0.5)]));
-        let mut swarm = SimSwarm::start(
+        cfg.energy = Some(SimEnergyConfig::default());
+        let mut swarm = SimSwarm::start_described(
             graph(),
             vec![
-                ("A".into(), registry(u64::MAX)),
-                ("B".into(), registry(0)),
-                ("C".into(), registry(0)),
+                ("A".into(), registry(u64::MAX), None),
+                ("B".into(), registry(0), Some(device().with_battery_j(0.5))),
+                ("C".into(), registry(0), None),
             ],
             cfg,
         )
@@ -2445,7 +3201,7 @@ mod tests {
     #[test]
     fn vitals_reach_upstream_routers() {
         let mut cfg = config(8, 0.0);
-        cfg.energy = Some(energy(&[]));
+        cfg.energy = Some(SimEnergyConfig::default());
         let mut swarm = SimSwarm::start(
             graph(),
             vec![("A".into(), registry(u64::MAX)), ("B".into(), registry(0))],
@@ -2469,19 +3225,99 @@ mod tests {
             seen.iter().all(|&v| v < 1.0 && v > 0.0),
             "routed vitals must show real drain: {seen:?}"
         );
+
+        // Described devices also report the signal their trace gives
+        // them (it used to be published as NaN, i.e. never). B sits in
+        // the weak zone behind its radio link, C and D in the good one;
+        // all three the same model on wall power, so RSS — battery
+        // first, speed second — ranks on speed alone.
+        let device = || Some(device().with_battery_j(f64::INFINITY));
+        let mut cfg = config(8, 0.0);
+        cfg.node.router = swing_core::routing::RouterConfig::new(Policy::Rss);
+        cfg.radio_window_bytes = Some(26_000);
+        cfg.energy = Some(SimEnergyConfig::default());
+        let weak = device().map(|d| d.in_zone(SignalZone::Weak));
+        let mut swarm = SimSwarm::start_described(
+            graph(),
+            vec![
+                ("A".into(), registry(u64::MAX), None),
+                ("B".into(), registry(0), weak),
+                ("C".into(), registry(0), device()),
+                ("D".into(), registry(0), device()),
+            ],
+            cfg,
+        )
+        .unwrap();
+        swarm.run_for(10 * SECOND_US);
+        let now = swarm.now_us();
+        let routes = swarm.execs[0].disp.router_mut().snapshot(now).routes;
+        let rssi: Vec<f64> = routes.iter().map(|r| r.rssi_dbm).collect();
+        assert_eq!(
+            rssi,
+            [SignalZone::Weak, SignalZone::Good, SignalZone::Good].map(SignalZone::rssi_dbm),
+            "each downstream's RSSI must reach the source's router"
+        );
+        // The weak link's latency ranks B last, and a good-signal worker
+        // covers the demand without it.
+        assert!(!routes[0].selected, "{routes:?}");
+        assert!(routes[1].selected || routes[2].selected, "{routes:?}");
+    }
+
+    #[test]
+    fn shedding_mailboxes_release_their_radio_windows() {
+        // B serves 10 frames a second out of a two-deep mailbox fed at
+        // 30: nearly every arrival sheds. A shed tuple's bytes must leave
+        // the sender's window like a served one's, or the window fills
+        // for good and the source holds position forever.
+        for policy in [OverloadPolicy::ShedOldest, OverloadPolicy::ShedNewest] {
+            let mut cfg = config(9, 0.0);
+            cfg.service_us = 100_000;
+            cfg.radio_window_bytes = Some(8 * Tuple::new().with("v", 1i64).size_bytes());
+            cfg.node.flow = swing_core::flow::FlowConfig {
+                enabled: true,
+                mailbox_capacity: 2,
+                policy,
+                credits_per_downstream: 64,
+            };
+            let mut swarm = SimSwarm::start_described(
+                graph(),
+                vec![
+                    ("A".into(), registry(u64::MAX), None),
+                    ("B".into(), registry(0), Some(device())),
+                ],
+                cfg,
+            )
+            .unwrap();
+            let played = |swarm: &SimSwarm| {
+                let snap = swarm.telemetry().snapshot();
+                snap.counter_total(tn::SINK_PLAYED)
+            };
+            swarm.run_for(10 * SECOND_US);
+            let halfway = played(&swarm);
+            swarm.run_for(10 * SECOND_US);
+            assert!(
+                played(&swarm) - halfway > 80,
+                "{policy:?}: B stopped being fed ({halfway} then {})",
+                played(&swarm)
+            );
+            let snap = swarm.telemetry().snapshot();
+            assert!(snap.counter_total(tn::EXEC_SHED_IN_QUEUE) > 100);
+            let cap = swarm.config.radio_window_bytes.unwrap();
+            assert!(swarm.windows.iter().all(|w| w.used <= cap));
+        }
     }
 
     #[test]
     fn same_seed_same_energy_history() {
         let run = |seed: u64| {
             let mut cfg = config(seed, 0.05);
-            cfg.energy = Some(energy(&[("B", 0.4)]));
-            let mut swarm = SimSwarm::start(
+            cfg.energy = Some(SimEnergyConfig::default());
+            let mut swarm = SimSwarm::start_described(
                 graph(),
                 vec![
-                    ("A".into(), registry(400)),
-                    ("B".into(), registry(0)),
-                    ("C".into(), registry(0)),
+                    ("A".into(), registry(400), None),
+                    ("B".into(), registry(0), Some(device().with_battery_j(0.4))),
+                    ("C".into(), registry(0), None),
                 ],
                 cfg,
             )

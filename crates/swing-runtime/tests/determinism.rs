@@ -124,6 +124,32 @@ fn seeded_chaos_scenario_is_bit_reproducible() {
     assert_ne!(a.2, c.2, "different seeds must differ somewhere");
 }
 
+/// FNV-1a over the exported JSON: the golden constants below pin the
+/// default engine path (no device descriptions, delay/jitter links)
+/// byte for byte, so a refactor of `sim.rs` that perturbs one event
+/// order, RNG draw or metric registration fails here, not in a by-hand
+/// diff.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The seeded drop+crash scenario's exported telemetry, pinned. Update
+/// the constant only for a change that is *meant* to alter the default
+/// path's history, and say so in CHANGES.md.
+#[test]
+fn seeded_chaos_scenario_matches_its_golden_hash() {
+    let (json, ..) = chaos_run(1207);
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        GOLDEN_CHAOS_1207,
+        "default-path telemetry of seed 1207 changed"
+    );
+}
+
+const GOLDEN_CHAOS_1207: u64 = 2_347_712_029_816_676_975;
+
 /// Retransmission recovers every drop for *every* seed — the property
 /// holds across the seed space, not for one curated seed.
 #[test]

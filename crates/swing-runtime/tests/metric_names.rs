@@ -1,0 +1,127 @@
+//! Sim/live differential, names half (ROADMAP 5c): one three-stage
+//! graph run under virtual time on [`SimSwarm`] and on wall-clock
+//! threads in an in-proc [`LocalSwarm`] exports the same set of
+//! `swing_*` metric names, so a dashboard or an alert written against
+//! one reads the other. The differences that are allowed are listed
+//! here, each with its reason; anything else is a schema drift.
+
+use std::collections::BTreeSet;
+use std::time::Duration;
+use swing_core::graph::AppGraph;
+use swing_core::unit::{closure_sink, closure_source, PassThrough};
+use swing_core::{Tuple, SECOND_US};
+use swing_runtime::registry::UnitRegistry;
+use swing_runtime::sim::{SimSwarm, SimSwarmConfig};
+use swing_runtime::LocalSwarm;
+use swing_telemetry::{names as tn, Snapshot, Telemetry};
+
+fn graph() -> AppGraph {
+    let mut g = AppGraph::new("names");
+    let s = g.add_source("src");
+    let o = g.add_operator("work");
+    let k = g.add_sink("out");
+    g.connect(s, o).unwrap();
+    g.connect(o, k).unwrap();
+    g
+}
+
+fn registry() -> UnitRegistry {
+    let mut r = UnitRegistry::new();
+    r.register_source("src", || {
+        closure_source(|_| Some(Tuple::new().with("v", 1i64)))
+    });
+    r.register_operator("work", || PassThrough);
+    r.register_sink("out", || closure_sink(|_, _| ()));
+    r
+}
+
+fn names(snap: &Snapshot) -> BTreeSet<String> {
+    let keys = snap
+        .counters
+        .iter()
+        .map(|(k, _)| k)
+        .chain(snap.gauges.iter().map(|(k, _)| k))
+        .chain(snap.histograms.iter().map(|(k, _)| k));
+    keys.map(|k| k.name.clone()).collect()
+}
+
+/// Names only the simulator exports: its control plane is folded into
+/// the event loop, so the epoch and failover series a live *master*
+/// process owns (and an in-proc swarm never exercises without a crash)
+/// are registered up front; the gateway tap belongs to the federation
+/// tier, which has no live counterpart yet. The simulated radio's byte
+/// counter and the device/battery gauges appear only with device
+/// descriptions or the energy model, neither used here.
+const SIM_ONLY: &[&str] = &[
+    tn::MASTER_EPOCH,
+    tn::FAILOVER_REPLACED_UNITS,
+    tn::FAILOVER_RECOVERY_US,
+    tn::GATEWAY_EGRESS,
+    tn::GATEWAY_INGRESS,
+    tn::GATEWAY_HOP_US,
+];
+
+/// Names only a live swarm exports: none on the in-proc fabric. The
+/// socket transport adds `swing_reactor_*` and `swing_registry_*`,
+/// which belong to the transport, not to the data plane both engines
+/// share.
+const LIVE_ONLY: &[&str] = &[];
+
+#[test]
+fn sim_and_live_export_the_same_metric_names() {
+    let mut cfg = SimSwarmConfig::default();
+    cfg.node.telemetry = Telemetry::new();
+    let sim_telemetry = cfg.node.telemetry.clone();
+    let mut sim = SimSwarm::start(
+        graph(),
+        vec![("A".into(), registry()), ("B".into(), registry())],
+        cfg,
+    )
+    .unwrap();
+    sim.run_for(3 * SECOND_US);
+    let _ = sim.delivery_stats(); // the publish a live executor does on a timer
+    let sim_names = names(&sim_telemetry.snapshot());
+
+    let live_telemetry = Telemetry::new();
+    let swarm = LocalSwarm::builder(graph())
+        .telemetry(live_telemetry.clone())
+        .worker("A", registry())
+        .worker("B", registry())
+        .start()
+        .expect("swarm start");
+    swarm.run_for(Duration::from_millis(600));
+    swarm.stop();
+    let live_names = names(&live_telemetry.snapshot());
+
+    assert!(
+        sim_names
+            .iter()
+            .chain(&live_names)
+            .all(|n| n.starts_with("swing_")),
+        "every exported name carries the swing_ prefix"
+    );
+    let only = |a: &BTreeSet<String>, b: &BTreeSet<String>, allowed: &[&str]| -> Vec<String> {
+        a.difference(b)
+            .filter(|n| !allowed.contains(&n.as_str()))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(
+        only(&sim_names, &live_names, SIM_ONLY),
+        Vec::<String>::new(),
+        "exported by the simulator, missing live"
+    );
+    assert_eq!(
+        only(&live_names, &sim_names, LIVE_ONLY),
+        Vec::<String>::new(),
+        "exported live, missing from the simulator"
+    );
+    // The allow-lists stay honest: an entry that stopped differing
+    // must be removed.
+    for n in SIM_ONLY {
+        assert!(sim_names.contains(*n) && !live_names.contains(*n), "{n}");
+    }
+    for n in LIVE_ONLY {
+        assert!(live_names.contains(*n) && !sim_names.contains(*n), "{n}");
+    }
+}

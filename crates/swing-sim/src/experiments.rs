@@ -4,13 +4,14 @@
 //! integration tests assert the *shapes* (who wins, by roughly what
 //! factor) hold.
 
-use crate::swarm::{Swarm, SwarmConfig, WorkerSpec};
+use crate::scenario::Scenario;
 use crate::SwarmReport;
 use swing_core::config::RouterConfig;
 use swing_core::routing::Policy;
 use swing_core::SECOND_US;
 use swing_device::mobility::{MobilityTrace, SignalZone};
 use swing_device::profile::{testbed, DeviceProfile, Workload};
+use swing_runtime::sim::WorkerSpec;
 
 /// Look up a testbed device by its letter.
 ///
@@ -35,14 +36,13 @@ pub const POOR_SIGNAL_LETTERS: [&str; 3] = ["B", "C", "D"];
 /// alone. Delay builds up because no device sustains 24 FPS.
 #[must_use]
 pub fn single_device(letter: &str, duration_s: u64, seed: u64) -> SwarmReport {
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Rr));
+    let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Rr));
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
     // Fig 1 measures unbounded queue growth over the first seconds; use
-    // generous buffers so the build-up is visible rather than clipped.
-    config.source_buffer_frames = 1_000;
+    // a generous window so the build-up is visible rather than clipped.
     config.dest_window_bytes = 64 * 1024 * 1024;
-    Swarm::new(config, vec![WorkerSpec::new(device(letter))]).run()
+    config.run(vec![WorkerSpec::new(device(letter))])
 }
 
 /// The independent variable of one Fig. 2 panel.
@@ -73,7 +73,7 @@ pub struct Fig2Row {
 /// Fig. 2: device `A` sends frames to `B` under one varied condition.
 #[must_use]
 pub fn fig2_condition(var: Fig2Variable, duration_s: u64, seed: u64) -> Fig2Row {
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Rr));
+    let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Rr));
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
     let mut worker = WorkerSpec::new(device("B"));
@@ -98,7 +98,7 @@ pub fn fig2_condition(var: Fig2Variable, duration_s: u64, seed: u64) -> Fig2Row 
             label = format!("{fps:.0} FPS");
         }
     }
-    let report = Swarm::new(config, vec![worker]).run();
+    let report = config.run(vec![worker]);
     Fig2Row {
         label,
         transmission_ms: report.mean_component_ms(crate::FrameRecord::transmission_us),
@@ -132,16 +132,16 @@ pub fn evaluation_run(
     duration_s: u64,
     seed: u64,
 ) -> SwarmReport {
-    let mut config = SwarmConfig::new(workload, RouterConfig::new(policy));
+    let mut config = Scenario::new(workload, RouterConfig::new(policy));
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
-    Swarm::new(config, evaluation_workers()).run()
+    config.run(evaluation_workers())
 }
 
 /// Fig. 9 (left): `B`, `D` computing, `G` joins at `join_at_s`.
 #[must_use]
 pub fn joining_run(join_at_s: u64, duration_s: u64, seed: u64) -> SwarmReport {
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
+    let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
     let workers = vec![
@@ -149,13 +149,13 @@ pub fn joining_run(join_at_s: u64, duration_s: u64, seed: u64) -> SwarmReport {
         WorkerSpec::new(device("D")),
         WorkerSpec::new(device("G")).joining_at(join_at_s * SECOND_US),
     ];
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Fig. 9 (right): `B`, `G`, `H` computing, `G` leaves at `leave_at_s`.
 #[must_use]
 pub fn leaving_run(leave_at_s: u64, duration_s: u64, seed: u64) -> SwarmReport {
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
+    let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
     let workers = vec![
@@ -163,7 +163,7 @@ pub fn leaving_run(leave_at_s: u64, duration_s: u64, seed: u64) -> SwarmReport {
         WorkerSpec::new(device("G")).leaving_at(leave_at_s * SECOND_US),
         WorkerSpec::new(device("H")),
     ];
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Cloudlet mode (§II): the evaluation swarm plus a wall-powered
@@ -171,19 +171,19 @@ pub fn leaving_run(leave_at_s: u64, duration_s: u64, seed: u64) -> SwarmReport {
 /// fastest worker and concentrate load there.
 #[must_use]
 pub fn cloudlet_run(policy: Policy, workload: Workload, duration_s: u64, seed: u64) -> SwarmReport {
-    let mut config = SwarmConfig::new(workload, RouterConfig::new(policy));
+    let mut config = Scenario::new(workload, RouterConfig::new(policy));
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
     let mut workers = evaluation_workers();
     workers.push(WorkerSpec::new(swing_device::profile::cloudlet()));
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Fig. 10: `B`, `G`, `H` computing while `G` walks from good to weak to
 /// poor signal, dwelling `dwell_s` in each zone.
 #[must_use]
 pub fn mobility_run(dwell_s: u64, seed: u64) -> SwarmReport {
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
+    let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
     config.duration_us = 3 * dwell_s * SECOND_US;
     config.seed = seed;
     let workers = vec![
@@ -191,7 +191,7 @@ pub fn mobility_run(dwell_s: u64, seed: u64) -> SwarmReport {
         WorkerSpec::new(device("G")).with_mobility(MobilityTrace::fig10_walk(dwell_s * SECOND_US)),
         WorkerSpec::new(device("H")),
     ];
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Ablation scenario: `B`, `G`, `H` under LRS while `G` walks
@@ -211,7 +211,7 @@ pub fn probing_ablation_run(dwell_s: u64, probing: bool, seed: u64) -> SwarmRepo
     if !probing {
         router.probe_every_rounds = u32::MAX; // effectively never
     }
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, router);
+    let mut config = Scenario::new(Workload::FaceRecognition, router);
     config.duration_us = 3 * dwell_s * SECOND_US;
     config.seed = seed;
     // 16 FPS: B+H alone can cover the demand, so worker selection really
@@ -229,7 +229,7 @@ pub fn probing_ablation_run(dwell_s: u64, probing: bool, seed: u64) -> SwarmRepo
         WorkerSpec::new(device("G")).with_mobility(out_and_back),
         WorkerSpec::new(device("H")),
     ];
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Ablation scenario: the Fig. 10 walk with the estimator's
@@ -240,7 +240,7 @@ pub fn probing_ablation_run(dwell_s: u64, probing: bool, seed: u64) -> SwarmRepo
 pub fn stale_floor_ablation_run(dwell_s: u64, floor: bool, seed: u64) -> SwarmReport {
     let mut router = RouterConfig::new(Policy::Lrs);
     router.pending_age_floor = floor;
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, router);
+    let mut config = Scenario::new(Workload::FaceRecognition, router);
     config.duration_us = 3 * dwell_s * SECOND_US;
     config.seed = seed;
     let workers = vec![
@@ -248,7 +248,7 @@ pub fn stale_floor_ablation_run(dwell_s: u64, floor: bool, seed: u64) -> SwarmRe
         WorkerSpec::new(device("G")).with_mobility(MobilityTrace::fig10_walk(dwell_s * SECOND_US)),
         WorkerSpec::new(device("H")),
     ];
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Ablation scenario: the Fig. 4 face evaluation with a custom reorder
@@ -264,14 +264,14 @@ pub fn tuned_evaluation_run(
 ) -> SwarmReport {
     let mut router = RouterConfig::new(policy);
     router.headroom = headroom;
-    let mut config = SwarmConfig::new(Workload::FaceRecognition, router);
+    let mut config = Scenario::new(Workload::FaceRecognition, router);
     config.duration_us = duration_s * SECOND_US;
     config.seed = seed;
     config.reorder = swing_core::config::ReorderConfig {
         span_us: reorder_span_us,
     };
     config.dest_window_bytes = dest_window_bytes;
-    Swarm::new(config, evaluation_workers()).run()
+    config.run(evaluation_workers())
 }
 
 #[cfg(test)]
@@ -649,7 +649,7 @@ mod tests {
     fn resend_orphans_eliminates_leave_losses() {
         let mk = |resend: bool, seed: u64| {
             let mut config =
-                SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
+                Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
             config.duration_us = 30 * SECOND_US;
             config.seed = seed;
             config.resend_orphans = resend;
@@ -658,7 +658,7 @@ mod tests {
                 WorkerSpec::new(device("G")).leaving_at(10 * SECOND_US),
                 WorkerSpec::new(device("H")),
             ];
-            Swarm::new(config, workers).run()
+            config.run(workers)
         };
         // Whether the leave catches in-flight frames depends on the RNG
         // draw sequence; scan for a seed where the lossy baseline does
@@ -687,14 +687,13 @@ mod tests {
 
     #[test]
     fn rate_schedule_changes_offered_load_mid_run() {
-        let mut config =
-            SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
+        let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(Policy::Lrs));
         config.duration_us = 30 * SECOND_US;
         config.seed = 4;
         config.input_fps = 6.0;
         config.rate_schedule = vec![(15 * SECOND_US, 20.0)];
         let workers = vec![WorkerSpec::new(device("G")), WorkerSpec::new(device("H"))];
-        let r = Swarm::new(config, workers).run();
+        let r = config.run(workers);
         let early: f64 = r.timeline[3..12].iter().map(|p| p.total_fps).sum::<f64>() / 9.0;
         let late: f64 = r.timeline[20..29].iter().map(|p| p.total_fps).sum::<f64>() / 9.0;
         assert!((early - 6.0).abs() < 1.5, "early {early:.1}");
@@ -703,20 +702,26 @@ mod tests {
 
     #[test]
     fn fig10_system_throughput_survives_the_walk() {
-        let report = mobility_run(15, 2);
-        let early: f64 = report.timeline[5..10]
+        // A probe window toward the poor-signal G stalls dispatch for a
+        // second or two wherever it lands, and in about one seed in five
+        // that is inside the last five seconds: measure over five seeds.
+        let reports: Vec<SwarmReport> = (1..=5).map(|seed| mobility_run(15, seed)).collect();
+        let mean_fps = |report: &SwarmReport, range: std::ops::Range<usize>| {
+            report.timeline[range]
+                .iter()
+                .map(|p| p.total_fps)
+                .sum::<f64>()
+                / 5.0
+        };
+        let n = reports[0].timeline.len();
+        let kept: f64 = reports
             .iter()
-            .map(|p| p.total_fps)
+            .map(|r| mean_fps(r, n - 5..n) / mean_fps(r, 5..10))
             .sum::<f64>()
-            / 5.0;
-        let n = report.timeline.len();
-        let late: f64 = report.timeline[n - 5..]
-            .iter()
-            .map(|p| p.total_fps)
-            .sum::<f64>()
-            / 5.0;
+            / reports.len() as f64;
         // Re-routing keeps most of the throughput despite G's poor link.
-        assert!(late > 0.6 * early, "early {early:.1} late {late:.1}");
+        assert!(kept > 0.6, "late / early throughput {kept:.2}");
+        let report = &reports[1];
         // RSSI trace in the timeline reflects the walk.
         let first_rssi = report.timeline[2].per_worker_rssi[1];
         let last_rssi = report.timeline[n - 2].per_worker_rssi[1];

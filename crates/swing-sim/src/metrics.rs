@@ -1,8 +1,7 @@
-//! Measurement records produced by swarm simulations — everything needed
+//! Measurement records produced by swarm scenarios — everything needed
 //! to regenerate the paper's tables and figures.
 
 use swing_core::stats::{Reservoir, Summary};
-use swing_device::power::EnergyLedger;
 
 /// Lifecycle timestamps of one sensed frame, all in microseconds of
 /// simulation time. Stages that never happened (dropped / lost frames)
@@ -97,8 +96,6 @@ pub struct WorkerStats {
     pub wifi_power_w: f64,
     /// Bytes received over the air.
     pub bytes_rx: u64,
-    /// Integrated energy ledger.
-    pub energy: EnergyLedger,
     /// Remaining battery fraction at the end of the run (0..=1; a dead
     /// worker reads 0, an infinite cloudlet pack reads 1).
     pub battery_frac: f64,
@@ -148,7 +145,8 @@ pub struct SwarmReport {
     pub workers: Vec<WorkerStats>,
     /// Per-second timeline.
     pub timeline: Vec<TimelinePoint>,
-    /// Per-frame records (present when `record_frames` was set).
+    /// Per-frame records. In a multi-stage run the worker-side stamps
+    /// are those of the last operator stage.
     pub frames: Vec<FrameRecord>,
     /// Frames the reorder buffer skipped at playback.
     pub reorder_skipped: u64,
@@ -161,116 +159,16 @@ pub struct SwarmReport {
     /// mobility disconnect, broken link — as `(time_s, name)` in
     /// removal order. Battery deaths appear here too.
     pub departures: Vec<(f64, String)>,
+    /// Mean time a tuple spent at each operator stage, mailbox wait plus
+    /// service, as `(stage name, ms)` in pipeline order.
+    pub stage_ms: Vec<(String, f64)>,
+    /// The engine's own telemetry registry at the end of the run — the
+    /// schema a live swarm exports (`swing_telemetry::to_json` renders
+    /// it).
+    pub telemetry: swing_telemetry::Snapshot,
 }
 
 impl SwarmReport {
-    /// Export this report into a telemetry domain using the *same*
-    /// metric schema ([`swing_telemetry::names`]) the live runtime
-    /// emits, so simulated and live runs are scraped, plotted, and
-    /// diffed with one toolchain:
-    ///
-    /// - the source's edge (`worker="source"`, `unit="0"`):
-    ///   `swing_source_sensed_total`, `swing_exec_sent_total`
-    ///   (dispatched frames), `swing_exec_retried_total`,
-    ///   `swing_exec_lost_total`;
-    /// - the sink (`worker="sink"`, `unit="2"`):
-    ///   `swing_sink_played_total`, `swing_sink_skipped_total`, and the
-    ///   `swing_sink_e2e_latency_us` histogram rebuilt from the
-    ///   latency reservoir;
-    /// - per worker (`worker=<name>`, `unit="1"`):
-    ///   `swing_exec_acked_total` (frames the worker accepted),
-    ///   `swing_exec_sent_total` (results forwarded to the sink), the
-    ///   `swing_device_*` power/utilization gauges, and
-    ///   `swing_net_bytes_received_total{link=<name>}`.
-    ///
-    /// Every series additionally carries `policy=<policy>` so reports
-    /// from different runs can share one domain without colliding.
-    pub fn export_telemetry(&self, telemetry: &swing_telemetry::Telemetry, policy: &str) {
-        use swing_telemetry::names as n;
-        let src: &[(&str, &str)] = &[
-            (n::LABEL_WORKER, "source"),
-            (n::LABEL_UNIT, "0"),
-            (n::LABEL_POLICY, policy),
-        ];
-        telemetry.counter(n::SOURCE_SENSED, src).add(self.generated);
-        telemetry
-            .counter(n::EXEC_SENT, src)
-            .add(self.generated.saturating_sub(self.dropped_at_source));
-        telemetry
-            .counter(n::EXEC_RETRIED, src)
-            .add(self.frames.iter().map(|f| u64::from(f.retries)).sum());
-        telemetry.counter(n::EXEC_LOST, src).add(self.lost);
-
-        let sink: &[(&str, &str)] = &[
-            (n::LABEL_WORKER, "sink"),
-            (n::LABEL_UNIT, "2"),
-            (n::LABEL_POLICY, policy),
-        ];
-        telemetry.counter(n::SINK_PLAYED, sink).add(self.completed);
-        telemetry
-            .counter(n::SINK_SKIPPED, sink)
-            .add(self.reorder_skipped);
-        let e2e = telemetry.histogram(n::SINK_E2E_LATENCY_US, sink);
-        for ms in self.latency_dist.samples() {
-            e2e.record((ms.max(0.0) * 1_000.0) as u64);
-        }
-
-        for w in &self.workers {
-            let labels: &[(&str, &str)] = &[
-                (n::LABEL_WORKER, &w.name),
-                (n::LABEL_UNIT, "1"),
-                (n::LABEL_POLICY, policy),
-            ];
-            telemetry.counter(n::EXEC_ACKED, labels).add(w.received);
-            telemetry.counter(n::EXEC_SENT, labels).add(w.completed);
-            let device: &[(&str, &str)] = &[(n::LABEL_WORKER, &w.name), (n::LABEL_POLICY, policy)];
-            telemetry.gauge(n::DEVICE_CPU_UTIL, device).set(w.cpu_util);
-            telemetry
-                .gauge(n::DEVICE_CPU_POWER_W, device)
-                .set(w.cpu_power_w);
-            telemetry
-                .gauge(n::DEVICE_WIFI_POWER_W, device)
-                .set(w.wifi_power_w);
-            telemetry
-                .gauge(n::DEVICE_INPUT_FPS, device)
-                .set(w.input_fps);
-            telemetry.gauge(n::BATTERY_FRAC, device).set(w.battery_frac);
-            telemetry
-                .gauge(n::DRAIN_W, device)
-                .set(w.energy.mean_power_w());
-            telemetry
-                .counter(
-                    n::NET_BYTES_RECEIVED,
-                    &[(n::LABEL_LINK, &w.name), (n::LABEL_POLICY, policy)],
-                )
-                .add(w.bytes_rx);
-        }
-        for (_, name) in &self.battery_deaths {
-            telemetry
-                .counter(
-                    n::DEATHS,
-                    &[(n::LABEL_WORKER, name), (n::LABEL_POLICY, policy)],
-                )
-                .add(1);
-        }
-        for (_, name) in &self.low_power_events {
-            telemetry
-                .counter(
-                    n::LOW_POWER,
-                    &[(n::LABEL_WORKER, name), (n::LABEL_POLICY, policy)],
-                )
-                .add(1);
-        }
-    }
-
-    /// [`export_telemetry`](Self::export_telemetry) into a fresh domain.
-    #[must_use]
-    pub fn to_telemetry(&self, policy: &str) -> swing_telemetry::Telemetry {
-        let telemetry = swing_telemetry::Telemetry::new();
-        self.export_telemetry(&telemetry, policy);
-        telemetry
-    }
-
     /// End-to-end latency percentile in milliseconds (0 if no frames
     /// completed). `p` in `[0, 1]`.
     #[must_use]
@@ -534,114 +432,6 @@ mod tests {
         let timeline = r.timeline_tsv();
         assert!(timeline.starts_with("t_s\ttotal_fps\tB_fps\tB_rssi"));
         assert!(timeline.contains("1\t10.0\t10.0\t-28"));
-    }
-
-    /// Sim reports and the live runtime emit through one schema: the
-    /// exported snapshot uses exactly the `swing_telemetry::names`
-    /// constants the executors register, the counters agree with the
-    /// report's fields, and the snapshot survives the JSON round trip.
-    #[test]
-    fn telemetry_export_matches_the_shared_schema() {
-        use swing_telemetry::names as n;
-
-        let mut r = SwarmReport {
-            generated: 120,
-            dropped_at_source: 10,
-            lost: 4,
-            completed: 100,
-            reorder_skipped: 2,
-            ..SwarmReport::default()
-        };
-        for ms in [10.0, 20.0, 30.0] {
-            r.latency_dist.update(ms);
-        }
-        r.frames.push(FrameRecord {
-            retries: 3,
-            ..FrameRecord::default()
-        });
-        r.workers.push(WorkerStats {
-            name: "B".into(),
-            received: 70,
-            completed: 65,
-            cpu_util: 0.8,
-            bytes_rx: 9_000,
-            ..WorkerStats::default()
-        });
-
-        let snap = r.to_telemetry("lrs").snapshot();
-        let src = &[
-            (n::LABEL_WORKER, "source"),
-            (n::LABEL_UNIT, "0"),
-            (n::LABEL_POLICY, "lrs"),
-        ];
-        assert_eq!(snap.counter(n::SOURCE_SENSED, src), 120);
-        assert_eq!(snap.counter(n::EXEC_SENT, src), 110);
-        assert_eq!(snap.counter(n::EXEC_RETRIED, src), 3);
-        assert_eq!(snap.counter(n::EXEC_LOST, src), 4);
-        let sink = &[
-            (n::LABEL_WORKER, "sink"),
-            (n::LABEL_UNIT, "2"),
-            (n::LABEL_POLICY, "lrs"),
-        ];
-        assert_eq!(snap.counter(n::SINK_PLAYED, sink), 100);
-        assert_eq!(snap.counter(n::SINK_SKIPPED, sink), 2);
-        let h = snap.histogram(n::SINK_E2E_LATENCY_US, sink).unwrap();
-        assert_eq!(h.count, 3);
-        assert!(h.quantile(1.0) >= 29_000, "max {}", h.quantile(1.0));
-        let worker = &[
-            (n::LABEL_WORKER, "B"),
-            (n::LABEL_UNIT, "1"),
-            (n::LABEL_POLICY, "lrs"),
-        ];
-        assert_eq!(snap.counter(n::EXEC_ACKED, worker), 70);
-        assert_eq!(snap.counter(n::EXEC_SENT, worker), 65);
-        assert_eq!(
-            snap.gauge(
-                n::DEVICE_CPU_UTIL,
-                &[(n::LABEL_WORKER, "B"), (n::LABEL_POLICY, "lrs")]
-            ),
-            Some(0.8)
-        );
-        assert_eq!(
-            snap.counter(
-                n::NET_BYTES_RECEIVED,
-                &[(n::LABEL_LINK, "B"), (n::LABEL_POLICY, "lrs")]
-            ),
-            9_000
-        );
-
-        // The export renders and round-trips like any live snapshot.
-        let json = swing_telemetry::to_json(&snap);
-        let back = swing_telemetry::from_json(&json).unwrap();
-        assert_eq!(back.counters, snap.counters);
-        assert!(swing_telemetry::prometheus_text(&snap).contains(n::SOURCE_SENSED));
-    }
-
-    /// Two reports exported into one domain with different policy
-    /// labels do not collide (counters would double-count otherwise).
-    #[test]
-    fn telemetry_export_separates_policies_by_label() {
-        use swing_telemetry::names as n;
-        let r = SwarmReport {
-            generated: 50,
-            ..SwarmReport::default()
-        };
-        let t = swing_telemetry::Telemetry::new();
-        r.export_telemetry(&t, "rr");
-        r.export_telemetry(&t, "lrs");
-        let snap = t.snapshot();
-        assert_eq!(snap.counter_total(n::SOURCE_SENSED), 100);
-        assert_eq!(
-            snap.counter(
-                n::SOURCE_SENSED,
-                &[
-                    (n::LABEL_WORKER, "source"),
-                    (n::LABEL_UNIT, "0"),
-                    (n::LABEL_POLICY, "rr"),
-                ],
-            ),
-            50
-        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The paper's §VI evaluates five latency-driven policies but defers the
 //! energy question. This harness produces the first result the paper
-//! doesn't have: a policy × churn-trace × seed grid on the [`Swarm`]
-//! simulator (real dispatcher, modeled physics, live [`Battery`] packs),
+//! doesn't have: a policy × churn-trace × seed grid of [`Scenario`]s on
+//! the one engine (real dispatchers, modeled physics, live [`Battery`]
+//! packs),
 //! where each cell reports
 //!
 //! * **frames played** — results that reached the sink,
@@ -21,12 +22,13 @@
 //! [`Battery`]: swing_device::Battery
 
 use crate::metrics::SwarmReport;
-use crate::swarm::{Swarm, SwarmConfig, WorkerSpec};
+use crate::scenario::Scenario;
 use swing_core::config::RouterConfig;
 use swing_core::routing::Policy;
 use swing_core::SECOND_US;
 use swing_device::mobility::MobilityTrace;
 use swing_device::profile::{testbed, DeviceProfile, Workload};
+use swing_runtime::sim::WorkerSpec;
 
 /// One churn archetype of the tournament grid. Every trace runs five
 /// workers; the energy-aware policies win by steering load toward the
@@ -66,12 +68,7 @@ impl ChurnTrace {
     }
 
     /// Build the trace's scenario for one `(policy, seed)` cell.
-    fn scenario(
-        self,
-        policy: Policy,
-        seed: u64,
-        duration_us: u64,
-    ) -> (SwarmConfig, Vec<WorkerSpec>) {
+    fn scenario(self, policy: Policy, seed: u64, duration_us: u64) -> (Scenario, Vec<WorkerSpec>) {
         let p = |name: &str| -> DeviceProfile {
             testbed()
                 .into_iter()
@@ -82,7 +79,7 @@ impl ChurnTrace {
         // battery-ranked policies treat them as always healthy. Small
         // packs: die after ~30 s of sustained full-rate computing.
         let big = 3_000.0;
-        let mut config = SwarmConfig::new(Workload::FaceRecognition, RouterConfig::new(policy));
+        let mut config = Scenario::new(Workload::FaceRecognition, RouterConfig::new(policy));
         config.seed = seed;
         config.duration_us = duration_us;
         config.input_fps = 24.0;
@@ -389,7 +386,7 @@ fn fingerprint(report: &SwarmReport) -> u64 {
 
 fn run_once(trace: ChurnTrace, policy: Policy, seed: u64, duration_us: u64) -> SwarmReport {
     let (config, workers) = trace.scenario(policy, seed, duration_us);
-    Swarm::new(config, workers).run()
+    config.run(workers)
 }
 
 /// Run one `(trace, policy, seed)` cell: the scenario once for the

@@ -1,7 +1,7 @@
-//! Failure-injection property tests: the simulator must stay sound —
-//! no panics, balanced frame accounting, sane statistics — under
-//! arbitrary storms of churn, mobility, background load and policy
-//! choices.
+//! Failure-injection property tests: the engine's device and radio
+//! path must stay sound — no panics, balanced frame accounting, sane
+//! statistics — under arbitrary storms of churn, mobility, background
+//! load and policy choices.
 
 use proptest::prelude::*;
 use swing_core::config::RouterConfig;
@@ -9,7 +9,7 @@ use swing_core::routing::Policy;
 use swing_core::SECOND_US;
 use swing_device::mobility::MobilityTrace;
 use swing_device::profile::{testbed, Workload};
-use swing_sim::swarm::{Swarm, SwarmConfig, WorkerSpec};
+use swing_sim::{Scenario, WorkerSpec};
 
 #[derive(Debug, Clone)]
 struct WorkerPlan {
@@ -54,7 +54,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let tb = testbed();
-        let mut config = SwarmConfig::new(
+        let mut config = Scenario::new(
             Workload::FaceRecognition,
             RouterConfig::new(Policy::ALL[policy_idx]),
         );
@@ -78,7 +78,7 @@ proptest! {
                 spec
             })
             .collect();
-        let report = Swarm::new(config, workers).run();
+        let report = config.run(workers);
 
         // Counter / record agreement.
         let rec_completed = report.frames.iter().filter(|f| f.completed()).count() as u64;
@@ -138,7 +138,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let tb = testbed();
-        let mut config = SwarmConfig::new(
+        let mut config = Scenario::new(
             Workload::FaceRecognition,
             RouterConfig::new(Policy::Lrs),
         );
@@ -150,7 +150,7 @@ proptest! {
             WorkerSpec::new(tb[survivor].clone()),
             WorkerSpec::new(tb[leaver].clone()).leaving_at(leave_s * SECOND_US),
         ];
-        let report = Swarm::new(config, workers).run();
+        let report = config.run(workers);
         prop_assert_eq!(report.lost, 0, "lost {} frames despite resend", report.lost);
     }
 }

@@ -137,3 +137,44 @@ fn seeds_perturb_but_structure_holds() {
     assert_eq!(a.battery_deaths, 0);
     assert_eq!(b.battery_deaths, 0);
 }
+
+/// The per-trace ranking by mean time-to-half-swarm. Two seeds cannot
+/// carry it — RR and RSS sit within a second of each other, as do LRS
+/// and ELRS — so it is taken over ten: on every trace
+/// RR ≥ RSS > CROWDIO > ELRS ≥ LRS, which is also what the retired
+/// single-shape simulator gave over the same ten seeds.
+#[test]
+fn ranking_over_ten_seeds_holds_on_every_trace() {
+    let config = TournamentConfig {
+        seeds: (1..=10).collect(),
+        ..TournamentConfig::default()
+    };
+    let duration_s = config.duration_us as f64 / 1e6;
+    let summary = run_tournament(&config);
+    assert!(summary.all_replays_identical());
+    for trace in ChurnTrace::ALL {
+        let mean_half_s = |policy: Policy| {
+            let halves: Vec<f64> = summary
+                .cells
+                .iter()
+                .filter(|c| c.trace == trace.name() && c.policy == policy)
+                .map(|c| c.time_to_half_swarm_s.unwrap_or(duration_s))
+                .collect();
+            assert_eq!(halves.len(), 10);
+            halves.iter().sum::<f64>() / 10.0
+        };
+        let [rr, lrs, elrs, rss, crowdio] = [
+            Policy::Rr,
+            Policy::Lrs,
+            Policy::EnergyLrs,
+            Policy::Rss,
+            Policy::Crowdio,
+        ]
+        .map(mean_half_s);
+        assert!(
+            rr >= rss && rss > crowdio && crowdio > elrs && elrs >= lrs,
+            "{}: RR {rr:.2} RSS {rss:.2} CROWDIO {crowdio:.2} ELRS {elrs:.2} LRS {lrs:.2}",
+            trace.name()
+        );
+    }
+}

@@ -1,7 +1,9 @@
 //! Bounded tuple-lifecycle event ring.
 //!
-//! Every tuple moving through the swarm passes the same six stations:
-//! sensed → dispatched → (retransmitted)* → acked → processed → played.
+//! Every tuple moving through the swarm passes the same stations:
+//! sensed → dispatched → (retransmitted)* → arrived → started →
+//! processed → acked → played — or ends early at shed (arrived,
+//! started and shed are recorded by the simulation engine only).
 //! The ring records one compact fixed-size event per station crossing,
 //! keeping the most recent `capacity` events and counting what it had
 //! to shed, so an individual frame's journey can be reconstructed after
@@ -22,10 +24,16 @@ pub enum Stage {
     Retransmitted,
     /// Delivery confirmed by the downstream.
     Acked,
+    /// Entered an operator's mailbox (end of the transmission hop).
+    Arrived,
+    /// An operator took it up for service (end of the mailbox wait).
+    Started,
     /// An operator finished processing it.
     Processed,
     /// Consumed at the sink.
     Played,
+    /// Dropped at the source's admission gate, never dispatched.
+    Shed,
 }
 
 impl Stage {
@@ -37,8 +45,11 @@ impl Stage {
             Stage::Dispatched => "dispatched",
             Stage::Retransmitted => "retransmitted",
             Stage::Acked => "acked",
+            Stage::Arrived => "arrived",
+            Stage::Started => "started",
             Stage::Processed => "processed",
             Stage::Played => "played",
+            Stage::Shed => "shed",
         }
     }
 }

@@ -6,10 +6,9 @@
 //! cargo run --release --example policy_comparison -- [face|voice] [seconds]
 //! ```
 //!
-//! Set `SWING_TELEMETRY_OUT=<path>` to also export every run's report
-//! into one telemetry domain (policies separated by the `policy` label)
-//! and write the snapshot as JSON — the same schema a live swarm
-//! exports, so one dashboard reads both.
+//! Set `SWING_TELEMETRY_OUT=<path>` to also write the LRS run's
+//! telemetry snapshot as JSON: the engine's own registry, the same
+//! schema a live swarm exports, so one dashboard reads both.
 
 use swing::device::profile::Workload;
 use swing::prelude::*;
@@ -37,12 +36,11 @@ fn main() {
         "{:<7} {:>12} {:>12} {:>12} {:>10} {:>10}",
         "policy", "FPS", "lat mean ms", "lat max ms", "devices", "FPS/W"
     );
-    let telemetry = Telemetry::new();
+    let mut lrs_snapshot = None;
     let mut baseline_fps = None;
     let mut baseline_lat = None;
     for policy in Policy::EXTENDED {
         let r = evaluation_run(policy, workload, seconds, 1);
-        r.export_telemetry(&telemetry, &policy.to_string());
         if policy == Policy::Rr {
             baseline_fps = Some(r.throughput_fps);
             baseline_lat = Some(r.latency_ms.mean());
@@ -57,6 +55,7 @@ fn main() {
             r.fps_per_watt()
         );
         if policy == Policy::Lrs {
+            lrs_snapshot = Some(swing::telemetry::to_json(&r.telemetry));
             if let (Some(bf), Some(bl)) = (baseline_fps, baseline_lat) {
                 println!(
                     "        -> LRS vs RR: {:.1}x throughput, {:.1}x lower mean latency (paper: 2.7x / 6.7x)",
@@ -66,8 +65,8 @@ fn main() {
             }
         }
     }
-    if let Ok(path) = std::env::var("SWING_TELEMETRY_OUT") {
-        std::fs::write(&path, telemetry.to_json()).expect("write telemetry JSON");
-        println!("telemetry snapshot written to {path}");
+    if let (Ok(path), Some(json)) = (std::env::var("SWING_TELEMETRY_OUT"), lrs_snapshot) {
+        std::fs::write(&path, json).expect("write telemetry JSON");
+        println!("telemetry snapshot (LRS run) written to {path}");
     }
 }

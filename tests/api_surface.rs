@@ -125,9 +125,17 @@ fn prelude_covers_the_selection_policy_surface() {
     let mut router = Router::new(RouterConfig::new(Policy::Lrs), 0);
     router.set_selection_policy(Box::new(FirstOnly));
 
-    // The simulator's energy model and tournament harness are reachable
-    // from the umbrella crate.
+    // The simulator's energy model, device descriptions, scenario
+    // builder and tournament harness are reachable from the umbrella
+    // crate.
     let _ = SimEnergyConfig::default();
+    let device = WorkerSpec::new(swing::device::testbed().swap_remove(1));
+    assert_eq!(device.profile.name, "B");
+    let scenario = swing::sim::Scenario::new(
+        swing::device::profile::Workload::FaceRecognition,
+        RouterConfig::new(Policy::Lrs),
+    );
+    assert_eq!(scenario.dest_window_bytes, 26_000);
     let t = swing::sim::tournament::TournamentConfig::default();
     assert!(t.policies.contains(&Policy::Lrs));
     assert_eq!(swing::sim::tournament::ChurnTrace::ALL.len(), 3);
