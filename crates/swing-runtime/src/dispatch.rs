@@ -9,14 +9,14 @@
 //! implementation of dispatch/ACK/retransmission semantics in the
 //! repository:
 //!
-//! * the live executors (`executor::run_source` and friends) drive it
-//!   from their own threads under a [`RealClock`];
+//! * the live executor threads drive it, inside the unit state machine
+//!   (`machine.rs`) that owns it, under a [`RealClock`];
 //! * the simulation engine (`sim::SimSwarm`) drives it from a
 //!   discrete-event loop under a
 //!   [`VirtualClock`](swing_core::clock::VirtualClock) — every paper
 //!   figure, tournament and campaign in `swing-sim` is a scenario on
-//!   that one loop, with the radio / device / mobility models layered
-//!   around the dispatchers there.
+//!   that one loop, which calls the same unit state machine, with the
+//!   radio / device / mobility models layered around it there.
 //!
 //! Time is an injected capability ([`ClockHandle`]); the dispatcher
 //! never reads a process global.
@@ -41,6 +41,12 @@ use swing_core::timing;
 use swing_core::{SeqNo, Tuple, UnitId};
 use swing_net::Message;
 use swing_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
+
+/// Frames a source holds while its paced dispatcher waits on closed
+/// gates (full radio windows); a capture beyond it is shed at the
+/// source, like a camera missing frames (one second of the paper's
+/// 24 FPS stream).
+const SENSE_BUFFER_FRAMES: usize = 24;
 
 /// A tuple awaiting (re)transmission.
 #[derive(Debug)]
@@ -566,9 +572,15 @@ impl Dispatcher {
     /// mailbox bound and at least one connected, selected, ungated
     /// downstream still has credit headroom. When it returns `false`
     /// the source sheds (or pauses, under [`OverloadPolicy::Block`]) at
-    /// capture time instead of growing an unbounded queue.
+    /// capture time instead of growing an unbounded queue. A paced
+    /// dispatcher (see [`Dispatcher::set_paced`]) can stall on its gates
+    /// whatever the flow configuration, so the sensing buffer behind it
+    /// is bounded too.
     #[must_use]
     pub fn admits_new(&self) -> bool {
+        if self.paced && self.pending.len() >= SENSE_BUFFER_FRAMES {
+            return false;
+        }
         if !self.credits_active() {
             return true;
         }
@@ -1293,7 +1305,7 @@ impl Dispatcher {
     /// After the source stream ends, keep servicing ACKs and retry
     /// timers until every in-flight tuple resolves (or the drain budget
     /// expires), so the tail of the stream is not silently abandoned.
-    /// Whatever remains unresolved is counted lost.
+    /// Whatever remains unresolved is counted lost; the caller publishes.
     pub(crate) fn drain_tail(&mut self, rx: &crossbeam::channel::Receiver<ExecMsg>) {
         if self.retry.enabled && !(self.inflight.is_empty() && self.pending.is_empty()) {
             // Worst-case time for one tuple to exhaust its retry budget.
@@ -1332,7 +1344,6 @@ impl Dispatcher {
                 self.log_loss(seq);
             }
         }
-        self.publish();
     }
 
     /// Send an ACK for `seq` back to `upstream`.

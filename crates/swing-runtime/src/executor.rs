@@ -1,8 +1,15 @@
 //! Function-unit executors: one thread per activated unit instance.
 //!
-//! Each executor owns its unit and a [`Dispatcher`] — the shared
-//! dispatch/ACK/retransmission state machine (see [`crate::dispatch`])
-//! — plus, for sinks, the reordering service and a [`SinkMeter`].
+//! Each executor thread drives one unit state machine (`machine.rs`:
+//! the unit, its [`Dispatcher`] — the shared
+//! dispatch/ACK/retransmission state machine, see [`crate::dispatch`] —
+//! and the role's state: pacer, mailbox, or reorder buffer and
+//! [`SinkMeter`]). The thread only waits: it blocks on its channel
+//! until the next deadline (a capture, an ACK deadline, the periodic
+//! publish, the sink's 50 ms reorder poll) and then calls the
+//! transition that is due. What a source senses, what an operator does
+//! with an arrival, when a sink plays — every such decision is the
+//! machine's.
 //!
 //! ## Delivery guarantees
 //!
@@ -22,15 +29,18 @@
 //!
 //! Executors never read a process-global clock: every timestamp comes
 //! from the [`ClockHandle`] injected through [`NodeConfig::clock`]
-//! (defaulting to the process-wide [`RealClock`]). The same executors
-//! therefore run unmodified under the deterministic virtual-time
-//! harness in [`crate::sim`].
+//! (defaulting to the process-wide [`RealClock`]). The unit state
+//! machine takes the time as an argument, so the same machine runs
+//! unmodified under the deterministic virtual-time harness in
+//! [`crate::sim`], which calls it from an event loop instead of from
+//! these threads.
 //!
 //! [`RealClock`]: swing_core::clock::RealClock
 
 use crate::clock::global_clock;
 use crate::dispatch::Dispatcher;
 use crate::fabric::MsgSender;
+use crate::machine::UnitMachine;
 use crate::registry::AnyUnit;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -38,14 +48,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use swing_core::clock::ClockHandle;
 use swing_core::config::{ReorderConfig, RetryConfig, RouterConfig};
-use swing_core::flow::{FlowConfig, Mailbox, OverloadPolicy, PushOutcome};
-use swing_core::rate::Pacer;
-use swing_core::reorder::ReorderBuffer;
+use swing_core::flow::FlowConfig;
+use swing_core::graph::Role;
 use swing_core::routing::RouterSnapshot;
 use swing_core::stats::Summary;
-use swing_core::unit::{Context, SinkUnit};
 use swing_core::{SeqNo, Tuple, UnitId};
-use swing_telemetry::{Stage, Telemetry};
+use swing_telemetry::Telemetry;
 
 /// Tuple field carrying the sensing timestamp end-to-end.
 pub const CREATED_US_FIELD: &str = "_created_us";
@@ -338,10 +346,18 @@ pub fn spawn(unit: UnitId, any: AnyUnit, config: NodeConfig) -> (ExecHandle, Arc
     let probe2 = Arc::clone(&probe);
     let join = std::thread::Builder::new()
         .name(format!("swing-exec-{unit}"))
-        .spawn(move || match any {
-            AnyUnit::Source(src) => run_source(unit, src, &config, &rx, probe2),
-            AnyUnit::Operator(op) => run_operator(unit, op, &config, &rx, probe2),
-            AnyUnit::Sink(sink) => run_sink(unit, sink, &config, &rx, &meter2, probe2),
+        .spawn(move || {
+            let mut out = Dispatcher::with_probe(unit, &config, probe2);
+            if matches!(any, AnyUnit::Source(_)) && !await_start(&mut out, &rx) {
+                return;
+            }
+            let mut machine = UnitMachine::new(any, out, &config, meter2);
+            match machine.role() {
+                Role::Source => run_source(&mut machine, &rx),
+                Role::Operator => run_operator(&mut machine, &rx),
+                Role::Sink => run_sink(&mut machine, &rx),
+            }
+            machine.stop(config.clock.now_us());
         })
         .expect("spawn executor thread");
     (
@@ -355,303 +371,121 @@ pub fn spawn(unit: UnitId, any: AnyUnit, config: NodeConfig) -> (ExecHandle, Arc
     )
 }
 
-fn run_source(
-    unit: UnitId,
-    mut src: Box<dyn swing_core::unit::SourceUnit>,
-    config: &NodeConfig,
-    rx: &crossbeam::channel::Receiver<ExecMsg>,
-    probe: Arc<Mutex<Option<ExecProbe>>>,
-) {
-    let clock = config.clock.clone();
-    let mut out = Dispatcher::with_probe(unit, config, probe);
-    // Wait for Start, absorbing topology control messages.
+/// A source senses nothing until started: wait for `Start`, absorbing
+/// topology control messages. `false` if the executor is stopped first.
+fn await_start(out: &mut Dispatcher, rx: &crossbeam::channel::Receiver<ExecMsg>) -> bool {
     loop {
         match rx.recv() {
-            Ok(ExecMsg::Start) => break,
-            Ok(ExecMsg::Stop) | Err(_) => return,
+            Ok(ExecMsg::Start) => return true,
+            Ok(ExecMsg::Stop) | Err(_) => return false,
             Ok(msg) => out.handle_control(msg),
         }
     }
-    let mut pacer = Pacer::new(config.input_fps, clock.now_us());
-    let mut seq = 0u64;
+}
+
+fn run_source(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+    let clock = unit.disp.clock().clone();
     loop {
-        out.metrics.queue_depth.set_u64(rx.len() as u64);
-        out.maybe_publish();
+        unit.disp.metrics.queue_depth.set_u64(rx.len() as u64);
+        unit.disp.maybe_publish();
         // Sleep until the next frame (or ACK deadline) is due, staying
         // responsive to control traffic (ACKs, churn, stop).
-        let due = pacer.next_due_us();
-        let wake = out.next_wake_us().map_or(due, |w| w.min(due));
+        let due = unit.next_capture_us();
+        let wake = unit.disp.next_wake_us().map_or(due, |w| w.min(due));
         let now = clock.now_us();
         if wake > now {
             match rx.recv_timeout(Duration::from_micros(wake - now)) {
                 Ok(ExecMsg::Stop) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    out.publish();
                     return;
                 }
                 Ok(msg) => {
-                    out.handle_control(msg);
+                    unit.disp.handle_control(msg);
                     continue;
                 }
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             }
         }
-        out.service_timers();
-        if pacer.next_due_us() > clock.now_us() {
+        unit.disp.service_timers();
+        if unit.next_capture_us() > clock.now_us() {
             continue; // woken for a retry deadline, not a frame
         }
         // Drain whatever queued up while sensing.
         while let Ok(msg) = rx.try_recv() {
             match msg {
-                ExecMsg::Stop => {
-                    out.publish();
-                    return;
-                }
-                other => out.handle_control(other),
+                ExecMsg::Stop => return,
+                other => unit.disp.handle_control(other),
             }
         }
-        pacer.consume_next();
-        let now = clock.now_us();
-        // Credit-based admission: with overload control on and every
-        // selected downstream out of credits, a new capture cannot make
-        // progress. Under `Block` the capture tick is skipped entirely
-        // (back-pressure into the sensor); under the shed policies the
-        // frame is sensed — it consumes a sequence number and counts in
-        // the accounting identity — but shed before dispatch.
-        let admit = out.admits_new();
-        if !admit && out.flow().policy == OverloadPolicy::Block {
-            out.count_source_paused();
-            continue;
-        }
-        let Some(mut tuple) = src.next_tuple(now) else {
+        if !unit.capture(clock.now_us()) {
             // Stream exhausted: resolve the in-flight tail, then stop.
-            out.drain_tail(rx);
+            unit.disp.drain_tail(rx);
             return;
-        };
-        tuple.set_seq(SeqNo(seq));
-        out.count_sensed();
-        config.telemetry.record_stage(seq, unit.0, Stage::Sensed);
-        seq += 1;
-        // Demand estimation sees every sensed frame, shed or not: the
-        // router's arrival rate Λ must reflect offered load, not the
-        // post-shedding admit rate.
-        out.router_mut().note_arrival(now);
-        if !admit {
-            out.count_shed_at_source();
-            continue;
-        }
-        if !tuple.contains(CREATED_US_FIELD) {
-            tuple.set_value(CREATED_US_FIELD, now as i64);
-        }
-        out.dispatch(tuple);
-    }
-}
-
-/// Move one incoming data tuple into the operator's mailbox, applying
-/// the dedup filter first (a retransmit of an already-seen — possibly
-/// already-shed — sequence is re-ACKed, never requeued) and the
-/// overload policy on overflow. Shed victims are ACKed immediately so
-/// the upstream settles: they are accounted shed-in-queue, not lost.
-fn mailbox_enqueue(
-    out: &mut Dispatcher,
-    mailbox: &mut Mailbox<(UnitId, Tuple)>,
-    from: UnitId,
-    tuple: Tuple,
-) {
-    let seq = tuple.seq();
-    let sent_at = tuple.sent_at_us();
-    if !out.observe_fresh(from, seq) {
-        // Duplicate delivery (retransmit after a lost ACK): re-ACK so
-        // the upstream settles, process nothing.
-        out.ack(from, seq, sent_at, 0);
-        return;
-    }
-    match mailbox.push((from, tuple)) {
-        PushOutcome::Queued => {}
-        PushOutcome::ShedOldest((victim_from, victim))
-        | PushOutcome::Rejected((victim_from, victim)) => {
-            out.ack(victim_from, victim.seq(), victim.sent_at_us(), 0);
-            out.count_shed_in_queue();
         }
     }
 }
 
-fn run_operator(
-    unit: UnitId,
-    mut op: Box<dyn swing_core::unit::FunctionUnit>,
-    config: &NodeConfig,
-    rx: &crossbeam::channel::Receiver<ExecMsg>,
-    probe: Arc<Mutex<Option<ExecProbe>>>,
-) {
-    let clock = config.clock.clone();
-    let mut out = Dispatcher::with_probe(unit, config, probe);
-    // Operator inbox. With overload control off the capacity is
-    // unbounded (seed behavior); with it on, the shed policies bound it
-    // at the configured capacity. `Block` keeps the mailbox unbounded —
-    // it never sheds at the receiver; the per-downstream credit windows
-    // upstream bound what can arrive.
-    let mut mailbox: Mailbox<(UnitId, Tuple)> = if config.flow.policy == OverloadPolicy::Block {
-        Mailbox::new(usize::MAX, OverloadPolicy::Block)
-    } else {
-        Mailbox::from_config(&config.flow)
-    };
-    op.on_start();
+fn run_operator(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+    let clock = unit.disp.clock().clone();
     'run: loop {
-        out.metrics
+        unit.disp
+            .metrics
             .queue_depth
-            .set_u64((rx.len() + mailbox.len()) as u64);
-        out.maybe_publish();
+            .set_u64((rx.len() + unit.queued()) as u64);
+        unit.disp.maybe_publish();
         // Eagerly drain the channel so control traffic is handled
         // immediately and queued data falls under the mailbox's
         // overload policy instead of hiding in the channel.
         while let Ok(msg) = rx.try_recv() {
             match msg {
                 ExecMsg::Data { from, tuple } => {
-                    mailbox_enqueue(&mut out, &mut mailbox, from, tuple)
+                    unit.accept(from, tuple, clock.now_us());
                 }
                 ExecMsg::Stop => break 'run,
-                other => out.handle_control(other),
+                other => unit.disp.handle_control(other),
             }
         }
-        if let Some((from, tuple)) = mailbox.pop() {
-            // Depth at serve time, counting the tuple being served.
-            out.metrics.mailbox_depth.record(mailbox.len() as u64 + 1);
-            let seq = tuple.seq();
-            let sent_at = tuple.sent_at_us();
-            let created = tuple.i64(CREATED_US_FIELD).ok();
-            out.router_mut().note_arrival(clock.now_us());
-            let t0 = clock.now_us();
-            let mut outputs: Vec<Tuple> = Vec::new();
-            {
-                let mut ctx = Context::new(t0, &mut outputs);
-                op.process_data(tuple, &mut ctx);
-            }
-            let processing = clock.now_us() - t0;
-            config
-                .telemetry
-                .record_stage(seq.0, unit.0, Stage::Processed);
-            out.ack(from, seq, sent_at, processing);
-            for mut o in outputs {
-                // Results inherit the input's sequence number and
-                // sensing timestamp so sinks can reorder and measure
-                // end-to-end latency.
-                o.set_seq(seq);
-                if let Some(c) = created {
-                    if !o.contains(CREATED_US_FIELD) {
-                        o.set_value(CREATED_US_FIELD, c);
-                    }
-                }
-                out.dispatch(o);
-            }
-            out.service_timers();
+        let now = clock.now_us();
+        if unit.take_up(now).is_some() {
+            unit.serve(now, None);
+            unit.disp.service_timers();
             continue;
         }
         // Mailbox empty: sleep until traffic, the next retry deadline or
         // the next periodic publish, whichever comes first. Nothing
         // else here is timed, so an idle replica wakes only to publish.
-        let publish = out.next_publish_us();
-        let wake = out.next_wake_us().map_or(publish, |w| w.min(publish));
-        let timeout = Duration::from_micros(wake.saturating_sub(clock.now_us()).max(1));
+        let publish = unit.disp.next_publish_us();
+        let wake = unit.disp.next_wake_us().map_or(publish, |w| w.min(publish));
+        let timeout = Duration::from_micros(wake.saturating_sub(now).max(1));
         match rx.recv_timeout(timeout) {
             Ok(ExecMsg::Data { from, tuple }) => {
-                mailbox_enqueue(&mut out, &mut mailbox, from, tuple)
+                unit.accept(from, tuple, clock.now_us());
             }
             Ok(ExecMsg::Stop) => break,
-            Ok(other) => out.handle_control(other),
+            Ok(other) => unit.disp.handle_control(other),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
         }
-        out.service_timers();
+        unit.disp.service_timers();
     }
-    out.publish();
-    op.on_stop();
 }
 
-fn run_sink(
-    unit: UnitId,
-    mut sink: Box<dyn SinkUnit>,
-    config: &NodeConfig,
-    rx: &crossbeam::channel::Receiver<ExecMsg>,
-    meter: &SinkMeter,
-    probe: Arc<Mutex<Option<ExecProbe>>>,
-) {
-    let clock = config.clock.clone();
-    let mut out = Dispatcher::with_probe(unit, config, probe);
-    let mut reorder: ReorderBuffer<Tuple> = ReorderBuffer::new(config.reorder);
-    let (played_c, skipped_c, stale_c, e2e_us) = {
-        use swing_telemetry::names as n;
-        let unit_label = unit.0.to_string();
-        let labels: &[(&str, &str)] = &[
-            (n::LABEL_WORKER, &config.worker_label),
-            (n::LABEL_UNIT, &unit_label),
-        ];
-        (
-            config.telemetry.counter(n::SINK_PLAYED, labels),
-            config.telemetry.counter(n::SINK_SKIPPED, labels),
-            config.telemetry.counter(n::SINK_STALE, labels),
-            config.telemetry.histogram(n::SINK_E2E_LATENCY_US, labels),
-        )
-    };
-    let telemetry = config.telemetry.clone();
-    let mut reported_skipped = 0u64;
-    let mut reported_stale = 0u64;
-    let play = move |tuple: Tuple, now: u64, meter: &SinkMeter, sink: &mut Box<dyn SinkUnit>| {
-        let latency_ms = tuple
-            .i64(CREATED_US_FIELD)
-            .ok()
-            .map(|c| (now as i64 - c) as f64 / 1_000.0);
-        meter.record(latency_ms, now);
-        played_c.inc();
-        if let Some(l) = latency_ms {
-            e2e_us.record((l.max(0.0) * 1_000.0) as u64);
-        }
-        telemetry.record_stage(tuple.seq().0, unit.0, Stage::Played);
-        sink.consume(tuple, now);
-    };
+fn run_sink(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+    let clock = unit.disp.clock().clone();
     loop {
-        out.metrics.queue_depth.set_u64(rx.len() as u64);
-        out.maybe_publish();
+        unit.disp.metrics.queue_depth.set_u64(rx.len() as u64);
+        unit.disp.maybe_publish();
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(ExecMsg::Data { from, tuple }) => {
-                let now = clock.now_us();
-                let seq = tuple.seq();
-                // ACK on receipt: a sink's processing is negligible.
-                // Duplicates are re-ACKed too (their first ACK was
-                // evidently lost) but never replayed.
-                out.ack(from, seq, tuple.sent_at_us(), 0);
-                if !out.observe_fresh(from, seq) {
-                    continue;
-                }
-                for played in reorder.push(seq, tuple, now) {
-                    play(played.item, now, meter, &mut sink);
-                }
+                unit.receive(from, tuple, clock.now_us());
             }
             Ok(ExecMsg::Stop) => break,
-            Ok(other) => out.handle_control(other),
+            Ok(other) => unit.disp.handle_control(other),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                let now = clock.now_us();
-                for played in reorder.poll(now) {
-                    play(played.item, now, meter, &mut sink);
-                }
-                let s = reorder.skipped();
-                skipped_c.add(s - reported_skipped);
-                reported_skipped = s;
-                let t = reorder.stale();
-                stale_c.add(t - reported_stale);
-                reported_stale = t;
+                unit.poll(clock.now_us());
             }
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
         }
     }
-    let now = clock.now_us();
-    for played in reorder.flush(now) {
-        play(played.item, now, meter, &mut sink);
-    }
-    meter.set_reorder_counts(reorder.skipped(), reorder.stale());
-    skipped_c.add(reorder.skipped() - reported_skipped);
-    stale_c.add(reorder.stale() - reported_stale);
-    // Publish final delivery counters (duplicates seen at the sink).
-    out.publish();
-    let _ = unit;
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ pub mod dispatch;
 pub mod executor;
 pub mod fabric;
 pub mod inflight;
+mod machine;
 pub mod master;
 pub mod node;
 pub mod registry;

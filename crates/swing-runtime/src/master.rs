@@ -35,6 +35,29 @@ pub enum Placement {
     ReplicateEverywhere,
 }
 
+impl Placement {
+    /// Which of a roster of `roster_len` devices (in join order) host a
+    /// stage of `role`: positions in the roster. A stage's parallelism
+    /// hint caps how many replicas the policy fans out to, earliest
+    /// joined first.
+    #[must_use]
+    pub fn hosts(
+        self,
+        role: Role,
+        parallelism: Option<u32>,
+        roster_len: usize,
+    ) -> std::ops::Range<usize> {
+        let wanted = match (role, self) {
+            (_, Placement::ReplicateEverywhere) => 0..roster_len,
+            (Role::Source | Role::Sink, Placement::SourceOnFirst) => 0..roster_len.min(1),
+            (Role::Operator, Placement::SourceOnFirst) if roster_len > 1 => 1..roster_len,
+            (Role::Operator, Placement::SourceOnFirst) => 0..roster_len,
+        };
+        let cap = parallelism.map_or(usize::MAX, |c| c as usize);
+        wanted.start..wanted.end.min(wanted.start.saturating_add(cap))
+    }
+}
+
 /// Liveness-probing configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatConfig {
@@ -682,14 +705,11 @@ impl MasterState {
         for stage in order {
             let spec = self.graph.stage(stage).expect("stage exists");
             let (role, parallelism) = (spec.role, spec.parallelism);
-            let mut hosts = self.hosts_for(role);
-            // A stage's parallelism hint caps how many replicas the
-            // policy fans out to (roster order keeps the cap stable
-            // across reconciles; dead hosts fall out of the roster, so
-            // replacement devices slide under the cap automatically).
-            if let Some(cap) = parallelism {
-                hosts.truncate(cap as usize);
-            }
+            // Roster order keeps a parallelism cap stable across
+            // reconciles; dead hosts fall out of the roster, so
+            // replacement devices slide under the cap automatically.
+            let hosts = (self.config.placement).hosts(role, parallelism, self.workers.len());
+            let hosts: Vec<DeviceId> = self.workers[hosts].iter().map(|w| w.device).collect();
             for device in hosts {
                 let have = self
                     .deployment
@@ -715,21 +735,6 @@ impl MasterState {
             for device in touched {
                 if let Some(sender) = self.senders.get(&device) {
                     let _ = sender.send(Message::Start);
-                }
-            }
-        }
-    }
-
-    fn hosts_for(&self, role: Role) -> Vec<DeviceId> {
-        let all: Vec<DeviceId> = self.workers.iter().map(|w| w.device).collect();
-        match (role, self.config.placement) {
-            (_, Placement::ReplicateEverywhere) => all,
-            (Role::Source | Role::Sink, Placement::SourceOnFirst) => vec![all[0]],
-            (Role::Operator, Placement::SourceOnFirst) => {
-                if all.len() > 1 {
-                    all[1..].to_vec()
-                } else {
-                    all
                 }
             }
         }
@@ -957,5 +962,54 @@ impl std::fmt::Debug for MasterState {
             .field("workers", &self.workers.len())
             .field("started", &self.started)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both policies × {1, 2, 5 devices} × {no cap, cap 1, cap beyond
+    /// the roster}: what the live master and the simulator both place.
+    #[test]
+    fn placement_hosts_table() {
+        use Placement::{ReplicateEverywhere, SourceOnFirst};
+        // (policy, roster, cap) -> (source/sink hosts, operator hosts)
+        let table = [
+            (SourceOnFirst, 1, None, 0..1, 0..1),
+            (SourceOnFirst, 1, Some(1), 0..1, 0..1),
+            (SourceOnFirst, 1, Some(9), 0..1, 0..1),
+            (SourceOnFirst, 2, None, 0..1, 1..2),
+            (SourceOnFirst, 2, Some(1), 0..1, 1..2),
+            (SourceOnFirst, 2, Some(9), 0..1, 1..2),
+            (SourceOnFirst, 5, None, 0..1, 1..5),
+            (SourceOnFirst, 5, Some(1), 0..1, 1..2),
+            (SourceOnFirst, 5, Some(9), 0..1, 1..5),
+            (ReplicateEverywhere, 1, None, 0..1, 0..1),
+            (ReplicateEverywhere, 1, Some(1), 0..1, 0..1),
+            (ReplicateEverywhere, 1, Some(9), 0..1, 0..1),
+            (ReplicateEverywhere, 2, None, 0..2, 0..2),
+            (ReplicateEverywhere, 2, Some(1), 0..1, 0..1),
+            (ReplicateEverywhere, 2, Some(9), 0..2, 0..2),
+            (ReplicateEverywhere, 5, None, 0..5, 0..5),
+            (ReplicateEverywhere, 5, Some(1), 0..1, 0..1),
+            (ReplicateEverywhere, 5, Some(9), 0..5, 0..5),
+        ];
+        for (policy, roster, cap, ends, operators) in table {
+            let case = format!("{policy:?}, {roster} devices, cap {cap:?}");
+            assert_eq!(policy.hosts(Role::Source, cap, roster), ends, "{case}");
+            assert_eq!(policy.hosts(Role::Sink, cap, roster), ends, "{case}");
+            assert_eq!(
+                policy.hosts(Role::Operator, cap, roster),
+                operators,
+                "{case}"
+            );
+        }
+        // An empty roster hosts nothing, whatever the policy.
+        for policy in [SourceOnFirst, ReplicateEverywhere] {
+            for role in [Role::Source, Role::Operator, Role::Sink] {
+                assert!(policy.hosts(role, None, 0).is_empty());
+            }
+        }
     }
 }

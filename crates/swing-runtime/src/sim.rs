@@ -1,10 +1,11 @@
 //! Deterministic simulation of the *real* data plane.
 //!
-//! FoundationDB-style testing: the production dispatch machinery — the
-//! same [`Dispatcher`] the live executor threads drive, with its
-//! router, in-flight table, dedup windows, and telemetry — runs here
-//! under a [`VirtualClock`] on a single-threaded discrete-event loop,
-//! with transport replaced by [`SimFabric`]: seeded per-link
+//! FoundationDB-style testing: the production data plane — the unit
+//! state machine the live executor threads drive (`machine.rs`: the
+//! source / operator / sink steps and the [`Dispatcher`] under them,
+//! with its router, in-flight table, dedup windows, and telemetry) —
+//! runs here under a [`VirtualClock`] on a single-threaded
+//! discrete-event loop, with transport replaced by [`SimFabric`]: seeded per-link
 //! delay/loss/duplication models behind the ordinary [`Fabric`] seam.
 //! A whole chaos scenario (lossy links, a mid-run crash, ACK-deadline
 //! retransmission, re-routing to survivors) therefore becomes a pure
@@ -23,11 +24,17 @@
 //!   ends of every link toward it, so senders observe a disconnected
 //!   channel — the exact failure the live eviction path handles.
 //! * [`SimSwarm`] — the harness. It deploys a real [`UnitRegistry`]'s
-//!   units across simulated workers (same placement rule as the
-//!   master's `SourceOnFirst`), wires their [`Dispatcher`]s through the
-//!   fabric, and pumps one [`EventQueue`] under the shared virtual
+//!   units across simulated workers (the master's
+//!   [`Placement::SourceOnFirst`]), wires their [`Dispatcher`]s through
+//!   the fabric, and pumps one [`EventQueue`] under the shared virtual
 //!   clock: source pacing ticks, message deliveries, ACK-deadline
-//!   timers, reorder-buffer polls, and scheduled crashes.
+//!   timers, service completions, reorder-buffer polls, and scheduled
+//!   crashes. A handler pops the event, calls the machine's transition,
+//!   then schedules the next event and charges the energy and radio
+//!   models from what the transition returned; it decides nothing about
+//!   the tuple. The one input it supplies that a thread measures
+//!   instead is the service span ([`SimSwarmConfig::service_us`] or a
+//!   device's [`CpuModel`]).
 //!
 //! This is the repository's only tuple-moving event loop: the paper's
 //! figures, the policy tournament and the chaos campaigns in `swing-sim`
@@ -52,9 +59,11 @@
 //! [`Fabric`]: crate::fabric::Fabric
 
 use crate::dispatch::Dispatcher;
-use crate::executor::{DeliveryStats, NodeConfig, SinkMeter, SinkReport, CREATED_US_FIELD};
+use crate::executor::{DeliveryStats, NodeConfig, SinkMeter, SinkReport};
 use crate::fabric::{MsgReceiver, MsgSender};
-use crate::registry::{AnyUnit, UnitRegistry};
+use crate::machine::UnitMachine;
+use crate::master::Placement;
+use crate::registry::UnitRegistry;
 use crate::swarm::{delivery_from_snapshot, DeliveryByUnit};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -62,13 +71,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use swing_core::clock::{Clock, VirtualClock};
 use swing_core::event::EventQueue;
-use swing_core::flow::{Mailbox, OverloadPolicy, PushOutcome};
 use swing_core::graph::{AppGraph, EdgeKind, Role, StageId};
-use swing_core::rate::Pacer;
-use swing_core::reorder::ReorderBuffer;
 use swing_core::rng::DetRng;
 use swing_core::timing;
-use swing_core::unit::Context;
 use swing_core::{Error, Result};
 use swing_core::{SeqNo, Tuple, UnitId};
 use swing_device::cpu::CpuModel;
@@ -78,7 +83,7 @@ use swing_device::radio::link_quality;
 use swing_device::{Battery, DeviceProfile, PowerModel};
 use swing_net::link::SenderRadio;
 use swing_net::Message;
-use swing_telemetry::{names as tn, Counter, Gauge, Histogram, Stage, Telemetry};
+use swing_telemetry::{names as tn, Counter, Gauge, Histogram, Telemetry};
 
 /// A single transmission whose airtime exceeds this is a broken link:
 /// the frame is lost and the worker whose signal the link follows is
@@ -88,11 +93,6 @@ use swing_telemetry::{names as tn, Counter, Gauge, Histogram, Stage, Telemetry};
 /// for large frames on collapsed links (a 72 kB voice frame on a poor
 /// link takes ~10 s; any real TCP stack times out).
 const LINK_BREAK_US: u64 = 8 * swing_core::SECOND_US;
-
-/// Frames a source holds while its dispatcher waits on full radio
-/// windows; a capture beyond it is shed at the source, like a camera
-/// missing frames (one second of the paper's 24 FPS stream).
-const SENSE_BUFFER_FRAMES: usize = 24;
 
 /// Per-link transmission model: a fixed base propagation delay,
 /// uniformly distributed jitter on top, and independent drop /
@@ -822,46 +822,6 @@ impl SimSwarmConfig {
     }
 }
 
-enum ExecRole {
-    Source {
-        src: Box<dyn swing_core::unit::SourceUnit>,
-        pacer: Pacer,
-        seq: u64,
-        done: bool,
-    },
-    Operator {
-        op: Box<dyn swing_core::unit::FunctionUnit>,
-        /// Inbound queue in front of the serialized service: tuples wait
-        /// here while the operator is busy, and the overload policy
-        /// sheds from it when bounded. (`Block` keeps it unbounded —
-        /// upstream credit windows bound what can arrive.)
-        mailbox: Mailbox<(UnitId, Tuple)>,
-        /// Whether a `ServiceDone` completion is scheduled. The operator
-        /// serves one tuple per [`SimSwarmConfig::service_us`], so under
-        /// offered load above 1/service_us a queue forms — the overload
-        /// regime the flow-control subsystem exists for.
-        busy: bool,
-        /// Span of the service in progress (what its ACK will report).
-        serving_us: u64,
-        /// The hosting device's CPU, when it is described (resolved at
-        /// placement); `None` serves at `service_us`.
-        cpu: Option<Box<DeviceCpu>>,
-    },
-    Sink {
-        sink: Box<dyn swing_core::unit::SinkUnit>,
-        reorder: ReorderBuffer<Tuple>,
-        meter: Arc<SinkMeter>,
-        reported_skipped: u64,
-        reported_stale: u64,
-        /// Sink endpoint metrics, mirroring the live `run_sink` schema
-        /// so dashboards and experiments read one set of names.
-        played_c: Counter,
-        skipped_c: Counter,
-        stale_c: Counter,
-        e2e_us: Histogram,
-    },
-}
-
 /// Service-time model of one operator instance on a described device.
 struct DeviceCpu {
     model: CpuModel,
@@ -879,17 +839,27 @@ struct Window {
     frame: usize,
 }
 
-/// One deployed unit instance: its role-specific state plus the real
-/// production [`Dispatcher`].
+/// One deployed unit instance: the production [`UnitMachine`] (unit,
+/// [`Dispatcher`], role state) plus what the event loop keeps about it.
 struct SimExec {
     unit: UnitId,
     stage: StageId,
     worker: usize,
-    disp: Dispatcher,
-    role: ExecRole,
+    machine: UnitMachine,
     alive: bool,
     /// Earliest armed retry-timer event, to avoid flooding the queue.
     armed_timer: Option<u64>,
+    /// Whether a `ServiceDone` completion is scheduled. An operator
+    /// serves one tuple per service span, so under offered load above
+    /// 1/span a queue forms — the overload regime the flow-control
+    /// subsystem exists for.
+    busy: bool,
+    /// Span of the service in progress (what its ACK will report).
+    serving_us: u64,
+    /// The hosting device's CPU, for an operator on a described device
+    /// (resolved at placement); `None` serves at
+    /// [`SimSwarmConfig::service_us`].
+    cpu: Option<Box<DeviceCpu>>,
 }
 
 struct SimWorker {
@@ -1195,7 +1165,6 @@ impl SimSwarm {
             });
         }
 
-        // Placement: mirror Master::hosts_for under SourceOnFirst.
         let stages: Vec<StageId> = sim.graph.stages().collect();
         let mut stage_instances: HashMap<StageId, Vec<UnitId>> = HashMap::new();
         for stage in stages {
@@ -1203,7 +1172,7 @@ impl SimSwarm {
             let (role, parallelism) = (spec.role, spec.parallelism);
             // A worker hosts the stages its registry has a unit for.
             for w in sim.hosts_for(role, parallelism) {
-                if let Some(unit) = sim.place_unit(stage, w, 0) {
+                if let Some(unit) = sim.place_unit(stage, w) {
                     stage_instances.entry(stage).or_default().push(unit);
                 }
             }
@@ -1233,26 +1202,24 @@ impl SimSwarm {
 
         // First pacing tick of every source at t = 0.
         for i in 0..sim.execs.len() {
-            if matches!(sim.execs[i].role, ExecRole::Source { .. }) {
+            if sim.execs[i].machine.role() == Role::Source {
                 sim.queue.schedule(0, SimEvent::SourceTick(i));
             }
         }
         // Reorder polls for every sink.
         let poll = sim.config.reorder_poll_us;
         for i in 0..sim.execs.len() {
-            if matches!(sim.execs[i].role, ExecRole::Sink { .. }) {
+            if sim.execs[i].machine.role() == Role::Sink {
                 sim.queue.schedule(poll, SimEvent::ReorderPoll(i));
             }
         }
         Ok(sim)
     }
 
-    /// Desired hosts of a role over the *live* roster, mirroring the
-    /// master's `SourceOnFirst` rule: source/sink on the first live
-    /// worker, operators on the remaining live workers (or all, when
-    /// only one survives). A stage's parallelism hint caps the fan-out
-    /// (roster order, so replacement hosts slide under the cap as dead
-    /// workers leave the roster).
+    /// Desired hosts of a role over the *live* roster, under the
+    /// master's [`Placement::SourceOnFirst`] (roster order, so
+    /// replacement hosts slide under a parallelism cap as dead workers
+    /// leave the roster).
     fn hosts_for(&self, role: Role, parallelism: Option<u32>) -> Vec<usize> {
         let alive: Vec<usize> = self
             .workers
@@ -1261,26 +1228,14 @@ impl SimSwarm {
             .filter(|(_, w)| w.alive)
             .map(|(i, _)| i)
             .collect();
-        let mut hosts = match role {
-            Role::Source | Role::Sink => alive.first().map(|&w| vec![w]).unwrap_or_default(),
-            Role::Operator => {
-                if alive.len() > 1 {
-                    alive[1..].to_vec()
-                } else {
-                    alive
-                }
-            }
-        };
-        if let Some(cap) = parallelism {
-            hosts.truncate(cap as usize);
-        }
-        hosts
+        alive[Placement::SourceOnFirst.hosts(role, parallelism, alive.len())].to_vec()
     }
 
     /// Instantiate `stage` from worker `w`'s registry as a fresh unit
-    /// (no edges wired, no events scheduled). `None` if the worker has
-    /// no unit installed for the stage.
-    fn place_unit(&mut self, stage: StageId, w: usize, start_at: u64) -> Option<UnitId> {
+    /// (no edges wired, no events scheduled; a source's first capture
+    /// is due now). `None` if the worker has no unit installed for the
+    /// stage.
+    fn place_unit(&mut self, stage: StageId, w: usize) -> Option<UnitId> {
         let spec = self.graph.stage(stage).expect("stage exists");
         let any = self.workers[w].registry.create(&spec.name)?;
         let unit = UnitId(self.next_unit);
@@ -1291,71 +1246,37 @@ impl SimSwarm {
         let mut disp = Dispatcher::new(unit, &node);
         disp.enable_loss_log();
         disp.set_paced(self.config.radio_window_bytes.is_some());
-        let role = match any {
-            AnyUnit::Source(src) => ExecRole::Source {
-                src,
-                pacer: Pacer::new(node.input_fps, start_at),
-                seq: 0,
-                done: false,
-            },
-            AnyUnit::Operator(mut op) => {
-                op.on_start();
-                let mailbox = if node.flow.policy == OverloadPolicy::Block {
-                    Mailbox::new(usize::MAX, OverloadPolicy::Block)
-                } else {
-                    Mailbox::from_config(&node.flow)
-                };
-                let cpu = self.workers[w].device.as_ref().and_then(|d| {
-                    let (_, workload) = self
-                        .config
-                        .stage_workloads
-                        .iter()
-                        .find(|(stage, _)| *stage == spec.name)?;
-                    Some(Box::new(DeviceCpu {
-                        model: CpuModel::new(&d.profile, *workload),
-                        rng: DetRng::seed_from_u64(
-                            self.config.seed
-                                ^ 0xD6E8_FEB8_6659_FD93u64.wrapping_mul(u64::from(unit.0) + 1),
-                        ),
-                    }))
-                });
-                ExecRole::Operator {
-                    op,
-                    mailbox,
-                    busy: false,
-                    serving_us: 0,
-                    cpu,
-                }
-            }
-            AnyUnit::Sink(sink) => {
-                let unit_label = unit.0.to_string();
-                let labels: &[(&str, &str)] = &[
-                    (tn::LABEL_WORKER, &node.worker_label),
-                    (tn::LABEL_UNIT, &unit_label),
-                ];
-                ExecRole::Sink {
-                    sink,
-                    reorder: ReorderBuffer::new(node.reorder),
-                    meter: Arc::new(SinkMeter::default()),
-                    reported_skipped: 0,
-                    reported_stale: 0,
-                    played_c: node.telemetry.counter(tn::SINK_PLAYED, labels),
-                    skipped_c: node.telemetry.counter(tn::SINK_SKIPPED, labels),
-                    stale_c: node.telemetry.counter(tn::SINK_STALE, labels),
-                    e2e_us: node.telemetry.histogram(tn::SINK_E2E_LATENCY_US, labels),
-                }
-            }
-        };
+        let machine = UnitMachine::new(any, disp, &node, Arc::new(SinkMeter::default()));
+        let cpu = self.workers[w]
+            .device
+            .as_ref()
+            .filter(|_| machine.role() == Role::Operator)
+            .and_then(|d| {
+                let (_, workload) = self
+                    .config
+                    .stage_workloads
+                    .iter()
+                    .find(|(stage, _)| *stage == spec.name)?;
+                Some(Box::new(DeviceCpu {
+                    model: CpuModel::new(&d.profile, *workload),
+                    rng: DetRng::seed_from_u64(
+                        self.config.seed
+                            ^ 0xD6E8_FEB8_6659_FD93u64.wrapping_mul(u64::from(unit.0) + 1),
+                    ),
+                }))
+            });
         let idx = self.execs.len();
         self.by_unit.insert(unit, idx);
         self.execs.push(SimExec {
             unit,
             stage,
             worker: w,
-            disp,
-            role,
+            machine,
             alive: true,
             armed_timer: None,
+            busy: false,
+            serving_us: 0,
+            cpu,
         });
         Some(unit)
     }
@@ -1368,10 +1289,11 @@ impl SimSwarm {
         let down_idx = self.by_unit[&down];
         let (up_w, down_w) = (self.execs[up_idx].worker, self.execs[down_idx].worker);
         let tx_data = self.dial(up_w, down_w)?;
-        self.execs[up_idx].disp.set_edge_kind(kind);
-        self.execs[up_idx].disp.add_downstream(down, tx_data);
+        let up_disp = &mut self.execs[up_idx].machine.disp;
+        up_disp.set_edge_kind(kind);
+        up_disp.add_downstream(down, tx_data);
         let tx_ack = self.dial(down_w, up_w)?;
-        self.execs[down_idx].disp.add_upstream(up, tx_ack);
+        self.execs[down_idx].machine.disp.add_upstream(up, tx_ack);
         if self.config.radio_window_bytes.is_some() {
             self.windows.push(Window {
                 from: up,
@@ -1652,7 +1574,7 @@ impl SimSwarm {
     pub fn delivery_stats(&mut self) -> DeliveryByUnit {
         for e in &mut self.execs {
             if e.alive {
-                e.disp.publish();
+                e.machine.disp.publish();
             }
         }
         let live: Vec<String> = self
@@ -1679,7 +1601,7 @@ impl SimSwarm {
     pub fn lost_seqs(&mut self) -> Vec<SeqNo> {
         let mut lost: Vec<SeqNo> = Vec::new();
         for e in &mut self.execs {
-            lost.extend(e.disp.take_lost_seqs());
+            lost.extend(e.machine.disp.take_lost_seqs());
         }
         lost.sort_unstable();
         lost.dedup();
@@ -1704,10 +1626,9 @@ impl SimSwarm {
         };
         let deadline = self.now_us() + budget;
         while self.now_us() < deadline
-            && self
-                .execs
-                .iter()
-                .any(|e| e.alive && (e.disp.inflight_len() > 0 || e.disp.pending_len() > 0))
+            && self.execs.iter().any(|e| {
+                e.alive && (e.machine.disp.inflight_len() > 0 || e.machine.disp.pending_len() > 0)
+            })
         {
             let step = self.now_us() + timing::PENDING_RETRY_TICK_US;
             self.run_until(step.min(deadline));
@@ -1715,46 +1636,13 @@ impl SimSwarm {
         let now = self.now_us();
         let mut reports = Vec::new();
         for e in &mut self.execs {
-            // Frames still queued in an operator mailbox at shutdown
-            // are shed — they were admitted but never served, and the
-            // shed-accounting identity must balance exactly.
+            // A dead unit's state died with its worker; what its sink
+            // had played by then still counts.
             if e.alive {
-                if let ExecRole::Operator { mailbox, .. } = &mut e.role {
-                    while mailbox.pop().is_some() {
-                        e.disp.count_shed_in_queue();
-                    }
-                }
+                e.machine.stop(now);
             }
-            // Final publish, as executors do on shutdown; a dead unit's
-            // state died with its worker.
-            if e.alive {
-                e.disp.publish();
-            }
-            if let ExecRole::Sink {
-                sink,
-                reorder,
-                meter,
-                reported_skipped,
-                reported_stale,
-                played_c,
-                skipped_c,
-                stale_c,
-                e2e_us,
-            } = &mut e.role
-            {
-                if e.alive {
-                    for played in reorder.flush(now) {
-                        Self::play_one(played.item, now, meter, sink, played_c, e2e_us);
-                    }
-                    let s = reorder.skipped();
-                    skipped_c.add(s - *reported_skipped);
-                    *reported_skipped = s;
-                    let t = reorder.stale();
-                    stale_c.add(t - *reported_stale);
-                    *reported_stale = t;
-                    meter.set_reorder_counts(s, t);
-                }
-                reports.push((self.workers[e.worker].name.clone(), meter.report()));
+            if let Some(report) = e.machine.sink_report() {
+                reports.push((self.workers[e.worker].name.clone(), report));
             }
         }
         reports
@@ -1792,7 +1680,7 @@ impl SimSwarm {
             }
             let mut sent = false;
             for e in &mut self.execs {
-                sent |= e.alive && e.disp.flush_one();
+                sent |= e.alive && e.machine.disp.flush_one();
             }
             if !sent {
                 return;
@@ -1814,7 +1702,7 @@ impl SimSwarm {
         f(w);
         let admits = w.used == 0 || w.used + w.frame <= cap;
         if let Some(&i) = self.by_unit.get(&from) {
-            self.execs[i].disp.set_link_up(to, admits);
+            self.execs[i].machine.disp.set_link_up(to, admits);
         }
     }
 
@@ -1832,7 +1720,7 @@ impl SimSwarm {
         if !self.execs[i].alive {
             return;
         }
-        let Some(wake) = self.execs[i].disp.next_wake_us() else {
+        let Some(wake) = self.execs[i].machine.disp.next_wake_us() else {
             return;
         };
         let wake = wake.max(now);
@@ -1844,26 +1732,6 @@ impl SimSwarm {
             self.queue.schedule(wake, SimEvent::Timer(i));
             self.execs[i].armed_timer = Some(wake);
         }
-    }
-
-    fn play_one(
-        tuple: Tuple,
-        now: u64,
-        meter: &SinkMeter,
-        sink: &mut Box<dyn swing_core::unit::SinkUnit>,
-        played_c: &Counter,
-        e2e_us: &Histogram,
-    ) {
-        let latency_ms = tuple
-            .i64(CREATED_US_FIELD)
-            .ok()
-            .map(|c| (now as i64 - c) as f64 / 1_000.0);
-        meter.record(latency_ms, now);
-        played_c.inc();
-        if let Some(l) = latency_ms {
-            e2e_us.record((l.max(0.0) * 1_000.0) as u64);
-        }
-        sink.consume(tuple, now);
     }
 
     /// Gateway tap: `n` frames just played at a sink. Every
@@ -1897,7 +1765,7 @@ impl SimSwarm {
                 }
                 if self.execs[i].alive {
                     self.execs[i].armed_timer = None;
-                    self.execs[i].disp.service_timers();
+                    self.execs[i].machine.disp.service_timers();
                     self.arm_timer(i, now);
                 }
             }
@@ -1908,9 +1776,7 @@ impl SimSwarm {
             SimEvent::Join(j) => self.on_join(j, now),
             SimEvent::SourceRate(fps) => {
                 for e in &mut self.execs {
-                    if let ExecRole::Source { pacer, .. } = &mut e.role {
-                        pacer.set_rate(fps);
-                    }
+                    e.machine.set_source_rate(fps);
                 }
             }
             SimEvent::VitalsTick => self.on_vitals_tick(now),
@@ -2140,11 +2006,9 @@ impl SimSwarm {
             .filter(|e| e.alive)
             .map(|e| (e.unit, e.worker))
             .collect();
-        for i in 0..self.execs.len() {
-            if !self.execs[i].alive {
-                continue;
-            }
-            let downs: Vec<UnitId> = self.execs[i].disp.router_mut().downstreams().collect();
+        for e in self.execs.iter_mut().filter(|e| e.alive) {
+            let disp = &mut e.machine.disp;
+            let downs: Vec<UnitId> = disp.router_mut().downstreams().collect();
             for d in downs {
                 let Some(&w) = unit_worker.get(&d) else {
                     continue;
@@ -2152,7 +2016,7 @@ impl SimSwarm {
                 let Some(&(frac, drain, rssi)) = readings.get(w) else {
                     continue;
                 };
-                self.execs[i].disp.note_worker_vitals(d, frac, drain, rssi);
+                disp.note_worker_vitals(d, frac, drain, rssi);
             }
         }
         self.queue.schedule(now + every, SimEvent::VitalsTick);
@@ -2181,110 +2045,43 @@ impl SimSwarm {
         self.energy.as_ref().map_or(&[], |e| &e.low_power)
     }
 
-    /// The tuple at the head of operator `i`'s mailbox goes into
-    /// service: draw its span (the device's CPU model under the
-    /// background load of the moment, or the uniform `service_us`) and
-    /// schedule the completion.
+    /// Operator `i` is free: if a tuple waits at the head of its
+    /// mailbox it goes into service — draw its span (the device's CPU
+    /// model under the background load of the moment, or the uniform
+    /// `service_us`) and schedule the completion.
     fn begin_service(&mut self, i: usize, now: u64) {
         let e = &mut self.execs[i];
-        let ExecRole::Operator {
-            mailbox,
-            busy,
-            serving_us,
-            cpu,
-            ..
-        } = &mut e.role
-        else {
+        let taken = e.machine.take_up(now);
+        e.busy = taken.is_some();
+        let Some((from, bytes)) = taken else {
             return;
         };
-        *busy = !mailbox.is_empty();
-        if !*busy {
-            return;
-        }
-        *serving_us = match (cpu, &self.workers[e.worker].device) {
+        e.serving_us = match (&mut e.cpu, &self.workers[e.worker].device) {
             (Some(cpu), Some(device)) => {
                 cpu.model.set_background_load(device.background_at(now));
                 cpu.model.sample_service_us(&mut cpu.rng)
             }
             _ => self.config.service_us,
         };
-        self.queue
-            .schedule(now + *serving_us, SimEvent::ServiceDone(i));
-        self.take_up(i, now);
+        let (unit, done_at) = (e.unit, now + e.serving_us);
+        self.queue.schedule(done_at, SimEvent::ServiceDone(i));
+        // The receiver has read the tuple out of its socket buffer.
+        self.window_release(from, unit, bytes);
     }
 
-    /// The tuple now at the head of operator `i`'s mailbox is the one in
-    /// service — a service began, or `ShedOldest` evicted the one that
-    /// was: stamp it and, the receiver having read it out of its socket
-    /// buffer, release its bytes from the sender's radio window.
-    fn take_up(&mut self, i: usize, now: u64) {
-        let e = &self.execs[i];
-        let ExecRole::Operator { mailbox, .. } = &e.role else {
-            return;
-        };
-        let Some((from, tuple)) = mailbox.front() else {
-            return;
-        };
-        let (from, to, bytes) = (*from, e.unit, tuple.size_bytes());
-        self.config
-            .node
-            .telemetry
-            .record_stage_at(now, tuple.seq().0, to.0, Stage::Started);
-        self.window_release(from, to, bytes);
-    }
-
-    /// One serialized operator service completes: serve the tuple at
-    /// the head of the mailbox — the run_operator data path, event-
-    /// shaped (process, ACK with the modeled service time, dispatch
-    /// results) — then start on the next queued tuple, if any.
+    /// One serialized operator service completes: the machine serves
+    /// the tuple at the head of the mailbox, its ACK carrying the span
+    /// that just elapsed; then the operator starts on the next queued
+    /// tuple, if any.
     fn on_service_done(&mut self, i: usize, now: u64) {
-        if !self.execs[i].alive {
-            return;
-        }
-        let worker = self.execs[i].worker;
-        let telemetry = self.config.node.telemetry.clone();
         let e = &mut self.execs[i];
-        let ExecRole::Operator {
-            op,
-            mailbox,
-            busy,
-            serving_us,
-            ..
-        } = &mut e.role
-        else {
+        if !e.alive {
             return;
-        };
-        let service_us = *serving_us;
-        let Some((from, tuple)) = mailbox.pop() else {
-            *busy = false;
-            return;
-        };
-        e.disp
-            .metrics
-            .mailbox_depth
-            .record(mailbox.len() as u64 + 1);
-        let seq = tuple.seq();
-        let sent_at = tuple.sent_at_us();
-        let created = tuple.i64(CREATED_US_FIELD).ok();
-        e.disp.router_mut().note_arrival(now);
-        let mut outputs: Vec<Tuple> = Vec::new();
-        {
-            let mut ctx = Context::new(now, &mut outputs);
-            op.process_data(tuple, &mut ctx);
         }
-        // Virtual time stood still for the service span that just
-        // elapsed; the modeled service time rides the ACK, feeding the
-        // router's processing-delay term (§V-B).
-        telemetry.record_stage(seq.0, e.unit.0, Stage::Processed);
-        e.disp.ack(from, seq, sent_at, service_us);
-        for mut o in outputs {
-            o.set_seq(seq);
-            if let Some(c) = created {
-                if !o.contains(CREATED_US_FIELD) {
-                    o.set_value(CREATED_US_FIELD, c);
-                }
-            }
-            e.disp.dispatch(o);
+        let (worker, service_us) = (e.worker, e.serving_us);
+        if !e.machine.serve(now, Some(service_us)) {
+            e.busy = false;
+            return;
         }
         self.begin_service(i, now);
         self.arm_timer(i, now);
@@ -2293,65 +2090,15 @@ impl SimSwarm {
     }
 
     fn on_source_tick(&mut self, i: usize, now: u64) {
-        if !self.execs[i].alive {
-            return;
-        }
-        let telemetry = self.config.node.telemetry.clone();
         let e = &mut self.execs[i];
-        let ExecRole::Source {
-            src,
-            pacer,
-            seq,
-            done,
-        } = &mut e.role
-        else {
-            return;
-        };
-        if *done {
+        if !e.alive {
             return;
         }
-        pacer.consume_next();
-        // Credit-based admission, mirroring run_source: under `Block`
-        // an inadmissible tick skips capture entirely; under the shed
-        // policies the frame is sensed (consuming a sequence number)
-        // but shed before dispatch.
-        // Under radio windows dispatch can stall, and the sensing
-        // buffer behind it is bounded.
-        let admit = e.disp.admits_new()
-            && (self.config.radio_window_bytes.is_none()
-                || e.disp.pending_len() < SENSE_BUFFER_FRAMES);
-        if !admit && e.disp.flow().policy == OverloadPolicy::Block {
-            e.disp.count_source_paused();
-            let next = pacer.next_due_us();
+        // Once the stream is exhausted no further tick is scheduled;
+        // retry timers keep draining the tail.
+        if e.machine.capture(now) {
+            let next = e.machine.next_capture_us();
             self.queue.schedule(next, SimEvent::SourceTick(i));
-            self.arm_timer(i, now);
-            return;
-        }
-        match src.next_tuple(now) {
-            None => {
-                // Stream exhausted: retry timers keep draining the tail.
-                *done = true;
-            }
-            Some(mut tuple) => {
-                tuple.set_seq(SeqNo(*seq));
-                e.disp.count_sensed();
-                telemetry.record_stage(*seq, e.unit.0, Stage::Sensed);
-                *seq += 1;
-                // Demand estimation sees every sensed frame, shed or
-                // not (offered load, not post-shedding admit rate).
-                e.disp.router_mut().note_arrival(now);
-                if admit {
-                    if !tuple.contains(CREATED_US_FIELD) {
-                        tuple.set_value(CREATED_US_FIELD, now as i64);
-                    }
-                    e.disp.dispatch(tuple);
-                } else {
-                    e.disp.count_shed_at_source();
-                    telemetry.record_stage(tuple.seq().0, e.unit.0, Stage::Shed);
-                }
-                let next = pacer.next_due_us();
-                self.queue.schedule(next, SimEvent::SourceTick(i));
-            }
         }
         self.arm_timer(i, now);
     }
@@ -2378,7 +2125,7 @@ impl SimSwarm {
                 } => {
                     if let Some(&i) = self.by_unit.get(&to) {
                         if self.execs[i].alive {
-                            self.execs[i].disp.on_ack(seq, processing_us);
+                            self.execs[i].machine.disp.on_ack(seq, processing_us);
                             self.arm_timer(i, now);
                         }
                     }
@@ -2388,35 +2135,22 @@ impl SimSwarm {
         }
     }
 
-    /// The run_operator / run_sink data path, event-shaped: dedup,
-    /// ACK, process, dispatch results. Same calls, same order.
+    /// A data tuple reaches its unit: the machine accepts (operator) or
+    /// receives (sink) it; what it reports back moves the radio window
+    /// of the edge, the device meters and the gateway tap.
     fn on_data(&mut self, dest: UnitId, from: UnitId, tuple: Tuple, now: u64) {
         let Some(&i) = self.by_unit.get(&dest) else {
             return;
         };
-        if !self.execs[i].alive {
+        let e = &mut self.execs[i];
+        if !e.alive {
             return;
         }
-        let telemetry = self.config.node.telemetry.clone();
-        let mut played_n = 0u64;
-        let e = &mut self.execs[i];
-        let seq = tuple.seq();
-        let sent_at = tuple.sent_at_us();
-        // What the radio window of the edge must learn: bytes that left
-        // the socket buffer without going into service, an idle operator
-        // starting on the tuple, or the head of the queue changing under
-        // a service in progress.
-        let bytes = self
-            .config
-            .radio_window_bytes
-            .map_or(0, |_| tuple.size_bytes());
-        let mut release: Option<(UnitId, usize)> = None;
-        let (mut start, mut took_over) = (false, false);
-        match &mut e.role {
-            ExecRole::Source { .. } => {}
-            ExecRole::Operator { mailbox, busy, .. } => {
-                if e.disp.observe_fresh(from, seq) {
-                    telemetry.record_stage_at(now, seq.0, dest.0, Stage::Arrived);
+        match e.machine.role() {
+            Role::Source => {}
+            Role::Operator => {
+                let accepted = e.machine.accept(from, tuple, now);
+                if accepted.fresh {
                     if let Some(m) = self
                         .energy
                         .as_mut()
@@ -2424,94 +2158,37 @@ impl SimSwarm {
                     {
                         m.received += 1;
                     }
-                    // Into the mailbox; shed victims are ACKed immediately
-                    // so the upstream settles (shed, not lost).
-                    match mailbox.push((from, tuple)) {
-                        PushOutcome::Queued => {}
-                        PushOutcome::ShedOldest((vf, v)) => {
-                            // The oldest is the one in service: the next
-                            // in line takes its place.
-                            e.disp.ack(vf, v.seq(), v.sent_at_us(), 0);
-                            e.disp.count_shed_in_queue();
-                            took_over = *busy;
-                        }
-                        PushOutcome::Rejected((vf, v)) => {
-                            e.disp.ack(vf, v.seq(), v.sent_at_us(), 0);
-                            e.disp.count_shed_in_queue();
-                            release = Some((vf, bytes));
-                        }
-                    }
-                    start = !*busy;
-                } else {
-                    // Duplicate (retransmit after a lost ACK — possibly
-                    // of an already-shed frame): re-ACK, queue nothing.
-                    e.disp.ack(from, seq, sent_at, 0);
-                    release = Some((from, bytes));
+                }
+                if !e.busy {
+                    self.begin_service(i, now);
+                } else if let Some((up, bytes)) = e.machine.take_up(now) {
+                    // `ShedOldest` evicted the tuple in service: the
+                    // next in line takes its place.
+                    self.window_release(up, dest, bytes);
+                }
+                if let Some((up, bytes)) = accepted.unserved {
+                    self.window_release(up, dest, bytes);
                 }
             }
-            ExecRole::Sink {
-                sink,
-                reorder,
-                meter,
-                played_c,
-                e2e_us,
-                ..
-            } => {
-                e.disp.ack(from, seq, sent_at, 0);
-                release = Some((from, bytes));
-                if e.disp.observe_fresh(from, seq) {
-                    telemetry.record_stage(seq.0, dest.0, Stage::Played);
-                    for played in reorder.push(seq, tuple, now) {
-                        Self::play_one(played.item, now, meter, sink, played_c, e2e_us);
-                        played_n += 1;
-                    }
-                }
+            Role::Sink => {
+                // Read out of the socket buffer on receipt.
+                let bytes = (self.config.radio_window_bytes).map_or(0, |_| tuple.size_bytes());
+                let played = e.machine.receive(from, tuple, now);
+                self.window_release(from, dest, bytes);
+                self.note_gateway_plays(played, now);
             }
         }
-        if start {
-            self.begin_service(i, now);
-        } else if took_over {
-            self.take_up(i, now);
-        }
-        if let Some((from, bytes)) = release {
-            self.window_release(from, dest, bytes);
-        }
-        self.note_gateway_plays(played_n, now);
     }
 
     fn on_reorder_poll(&mut self, i: usize, now: u64) {
-        if !self.execs[i].alive {
+        let e = &mut self.execs[i];
+        if !e.alive {
             return;
         }
-        let mut played_n = 0u64;
-        let e = &mut self.execs[i];
-        if let ExecRole::Sink {
-            sink,
-            reorder,
-            meter,
-            reported_skipped,
-            reported_stale,
-            played_c,
-            skipped_c,
-            stale_c,
-            e2e_us,
-        } = &mut e.role
-        {
-            for played in reorder.poll(now) {
-                Self::play_one(played.item, now, meter, sink, played_c, e2e_us);
-                played_n += 1;
-            }
-            let s = reorder.skipped();
-            skipped_c.add(s - *reported_skipped);
-            *reported_skipped = s;
-            let t = reorder.stale();
-            stale_c.add(t - *reported_stale);
-            *reported_stale = t;
-            meter.set_reorder_counts(s, t);
-            self.queue
-                .schedule(now + self.config.reorder_poll_us, SimEvent::ReorderPoll(i));
-        }
-        self.note_gateway_plays(played_n, now);
+        let played = e.machine.poll(now);
+        self.queue
+            .schedule(now + self.config.reorder_poll_us, SimEvent::ReorderPoll(i));
+        self.note_gateway_plays(played, now);
     }
 
     fn on_crash(&mut self, w: usize, now: u64) {
@@ -2538,7 +2215,7 @@ impl SimSwarm {
         self.windows.retain(|win| {
             let (up, down) = (by_unit[&win.from], by_unit[&win.to]);
             if execs[down].worker == w {
-                execs[up].disp.remove_downstream(win.to);
+                execs[up].machine.disp.remove_downstream(win.to);
             }
             execs[up].worker != w && execs[down].worker != w
         });
@@ -2572,10 +2249,10 @@ impl SimSwarm {
                 continue;
             }
             for &du in &dead {
-                self.execs[i].disp.remove_downstream(du);
-                self.execs[i].disp.remove_upstream(du);
+                self.execs[i].machine.disp.remove_downstream(du);
+                self.execs[i].machine.disp.remove_upstream(du);
             }
-            self.execs[i].disp.flush_pending();
+            self.execs[i].machine.disp.flush_pending();
             self.arm_timer(i, now);
         }
         // Self-heal: re-place the dead worker's stages on survivors
@@ -2639,7 +2316,7 @@ impl SimSwarm {
                     .iter()
                     .any(|e| e.alive && e.stage == stage && e.worker == w);
                 if !have {
-                    if let Some(unit) = self.place_unit(stage, w, now) {
+                    if let Some(unit) = self.place_unit(stage, w) {
                         new_units.push(unit);
                     }
                 }
@@ -2675,12 +2352,12 @@ impl SimSwarm {
         }
         for &unit in &new_units {
             let i = self.by_unit[&unit];
-            match self.execs[i].role {
-                ExecRole::Source { .. } => self.queue.schedule(now, SimEvent::SourceTick(i)),
-                ExecRole::Sink { .. } => self
+            match self.execs[i].machine.role() {
+                Role::Source => self.queue.schedule(now, SimEvent::SourceTick(i)),
+                Role::Sink => self
                     .queue
                     .schedule(now + self.config.reorder_poll_us, SimEvent::ReorderPoll(i)),
-                ExecRole::Operator { .. } => {}
+                Role::Operator => {}
             }
         }
         new_units.len() as u64
@@ -2691,6 +2368,7 @@ impl SimSwarm {
 mod tests {
     use super::*;
     use swing_core::config::RetryConfig;
+    use swing_core::flow::OverloadPolicy;
     use swing_core::routing::Policy;
     use swing_core::unit::{closure_sink, closure_source, PassThrough};
     use swing_core::SECOND_US;
@@ -2837,6 +2515,35 @@ mod tests {
         // The source keeps dispatching after the crash, re-routing
         // everything through B.
         assert!(totals.sent > 300, "only {} sent", totals.sent);
+    }
+
+    #[test]
+    fn finish_stops_every_live_unit() {
+        use std::sync::atomic::AtomicBool;
+        struct FlagsStop(Arc<AtomicBool>);
+        impl swing_core::unit::FunctionUnit for FlagsStop {
+            fn process_data(&mut self, t: Tuple, ctx: &mut swing_core::unit::Context<'_>) {
+                ctx.send(t);
+            }
+            fn on_stop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let stopped = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stopped);
+        let mut b = registry(0);
+        b.register_operator("work", move || FlagsStop(Arc::clone(&flag)));
+        let mut swarm = SimSwarm::start(
+            graph(),
+            vec![("A".into(), registry(10)), ("B".into(), b)],
+            config(7, 0.0),
+        )
+        .unwrap();
+        swarm.run_for(SECOND_US);
+        assert!(!stopped.load(Ordering::SeqCst));
+        let reports = swarm.finish();
+        assert_eq!(reports[0].1.consumed, 10);
+        assert!(stopped.load(Ordering::SeqCst), "on_stop ran at finish()");
     }
 
     #[test]
@@ -3250,7 +2957,8 @@ mod tests {
         .unwrap();
         swarm.run_for(10 * SECOND_US);
         let now = swarm.now_us();
-        let routes = swarm.execs[0].disp.router_mut().snapshot(now).routes;
+        let source = &mut swarm.execs[0].machine.disp;
+        let routes = source.router_mut().snapshot(now).routes;
         let rssi: Vec<f64> = routes.iter().map(|r| r.rssi_dbm).collect();
         assert_eq!(
             rssi,

@@ -13,7 +13,6 @@
 //! `swing_runtime::sim`.
 
 use crate::metrics::{FrameRecord, SwarmReport, TimelinePoint, WorkerStats};
-use std::sync::{Arc, Mutex};
 use swing_core::config::{ReorderConfig, RetryConfig, RouterConfig};
 use swing_core::graph::AppGraph;
 use swing_core::payload::SharedBytes;
@@ -150,20 +149,13 @@ impl Scenario {
             "frame",
             SharedBytes::from_vec(vec![0; on_air - empty.size_bytes()]),
         );
-        let played: Arc<Mutex<Vec<(u64, u64)>>> = Arc::default();
 
         let mut master = UnitRegistry::new();
         master.register_source("camera", move || {
             let frame = frame.clone();
             closure_source(move |now| Some(frame.clone().with(CREATED_US_FIELD, now as i64)))
         });
-        let sink_log = Arc::clone(&played);
-        master.register_sink("display", move || {
-            let log = Arc::clone(&sink_log);
-            closure_sink(move |t: Tuple, now| {
-                log.lock().expect("sink log").push((t.seq().0, now));
-            })
-        });
+        master.register_sink("display", || closure_sink(|_, _| ()));
         let last_stage = stages.last().map(|(name, _)| *name);
         let mut roster = vec![(MASTER.to_string(), master, None)];
         for ((spec, hosted), name) in workers.iter().zip(names) {
@@ -230,9 +222,8 @@ impl Scenario {
             .map(String::as_str)
             .zip(workers.into_iter().map(|(w, _)| w))
             .collect();
-        let played = std::mem::take(&mut *played.lock().expect("sink log"));
         let stages: Vec<&str> = stages.iter().map(|&(name, _)| name).collect();
-        self.report(&mut swarm, &telemetry, &stages, &specs, &played)
+        self.report(&mut swarm, &telemetry, &stages, &specs)
     }
 
     /// Fill the report from the engine's own records.
@@ -242,7 +233,6 @@ impl Scenario {
         telemetry: &Telemetry,
         stages: &[&str],
         specs: &[(&str, WorkerSpec)],
-        played: &[(u64, u64)],
     ) -> SwarmReport {
         assert_eq!(
             telemetry.events().shed(),
@@ -348,7 +338,7 @@ impl Scenario {
                 // The first arrival at the sink completes the frame; a
                 // resent copy whose original was already on the air is
                 // a duplicate.
-                (Stage::Played, false) if fr.sink_us.is_none() => {
+                (Stage::Arrived, false) if fr.sink_us.is_none() => {
                     fr.sink_us = Some(ev.at_us);
                     let ms = (ev.at_us - fr.created_us) as f64 / 1_000.0;
                     latency_ms.update(ms);
@@ -357,12 +347,10 @@ impl Scenario {
                         p.total_fps += 1.0;
                     }
                 }
+                (Stage::Played, false) => {
+                    fr.played_us.get_or_insert(ev.at_us);
+                }
                 _ => {}
-            }
-        }
-        for &(seq, at) in played {
-            if let Some(fr) = frames.get_mut(seq as usize) {
-                fr.played_us.get_or_insert(at);
             }
         }
         // Written off by a dispatcher (its worker left, or nowhere to

@@ -2,9 +2,10 @@
 //!
 //! Every tuple moving through the swarm passes the same stations:
 //! sensed → dispatched → (retransmitted)* → arrived → started →
-//! processed → acked → played — or ends early at shed (arrived,
-//! started and shed are recorded by the simulation engine only).
-//! The ring records one compact fixed-size event per station crossing,
+//! processed → acked at each operator hop, then arrived → played at
+//! the sink — or ends early at shed. One unit state machine stamps
+//! them, so a stage means the same instant on executor threads and
+//! under the simulation engine. The ring records one compact fixed-size event per station crossing,
 //! keeping the most recent `capacity` events and counting what it had
 //! to shed, so an individual frame's journey can be reconstructed after
 //! the fact ("frame 4817 was retransmitted twice before its ACK")
@@ -24,13 +25,14 @@ pub enum Stage {
     Retransmitted,
     /// Delivery confirmed by the downstream.
     Acked,
-    /// Entered an operator's mailbox (end of the transmission hop).
+    /// Entered an operator's mailbox, or reached the sink (end of the
+    /// transmission hop). Duplicates are not stamped.
     Arrived,
     /// An operator took it up for service (end of the mailbox wait).
     Started,
     /// An operator finished processing it.
     Processed,
-    /// Consumed at the sink.
+    /// Released by the sink's reorder buffer and consumed (playback).
     Played,
     /// Dropped at the source's admission gate, never dispatched.
     Shed,
