@@ -29,14 +29,15 @@ pub struct DedupWindow {
 
 impl DedupWindow {
     /// Create a window remembering the last `capacity` distinct sequence
-    /// numbers (minimum 1).
+    /// numbers (minimum 1). Storage grows with what is observed, up to
+    /// `capacity` entries; a short stream never pays for a wide window.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         DedupWindow {
             capacity,
-            order: VecDeque::with_capacity(capacity),
-            seen: HashSet::with_capacity(capacity),
+            order: VecDeque::new(),
+            seen: HashSet::new(),
         }
     }
 

@@ -100,6 +100,18 @@ impl<E> EventQueue<E> {
         Some((s.time_us, s.event))
     }
 
+    /// Move the clock forward to `time_us` without an event to pop: a
+    /// run reached its horizon with nothing (left) due by then, and
+    /// whatever is scheduled next must not land before it. Never moves
+    /// the clock back.
+    pub fn advance_to(&mut self, time_us: u64) {
+        debug_assert!(
+            self.peek_time().is_none_or(|t| t >= time_us),
+            "an earlier event is still queued"
+        );
+        self.now_us = self.now_us.max(time_us);
+    }
+
     /// Timestamp of the next event without popping it.
     #[must_use]
     pub fn peek_time(&self) -> Option<u64> {
@@ -172,6 +184,21 @@ mod tests {
         q.schedule(10, "late");
         assert_eq!(q.pop(), Some((100, "late")));
         assert_eq!(q.now_us(), 100);
+    }
+
+    #[test]
+    fn advance_to_pins_the_horizon() {
+        let mut q = EventQueue::new();
+        q.schedule(500, "beyond");
+        q.advance_to(100);
+        assert_eq!(q.now_us(), 100);
+        // A schedule in what is now the past clamps to the horizon.
+        q.schedule(40, "late");
+        assert_eq!(q.pop(), Some((100, "late")));
+        // The clock never moves back, and the queued event is untouched.
+        q.advance_to(60);
+        assert_eq!(q.now_us(), 100);
+        assert_eq!(q.pop(), Some((500, "beyond")));
     }
 
     #[test]

@@ -56,10 +56,6 @@ pub enum Fabric {
     /// Any fabric wrapped in deterministic fault injection
     /// (see [`crate::chaos`]).
     Chaos(Arc<ChaosFabric>),
-    /// Deterministic simulated transport: messages move only when a
-    /// discrete-event loop pumps them, through seeded per-link
-    /// delay/loss models (see [`crate::sim`]).
-    Sim(Arc<crate::sim::SimFabric>),
 }
 
 /// Shared state of the reactor fabric: the handle every listen/dial
@@ -126,17 +122,6 @@ impl Fabric {
         }
     }
 
-    /// A fresh simulated fabric, all link randomness derived from
-    /// `seed`. Returns the fabric plus the [`SimFabric`] handle the
-    /// driving event loop pumps messages through.
-    ///
-    /// [`SimFabric`]: crate::sim::SimFabric
-    #[must_use]
-    pub fn sim(seed: u64) -> (Self, Arc<crate::sim::SimFabric>) {
-        let net = crate::sim::SimFabric::new(seed);
-        (Fabric::Sim(Arc::clone(&net)), net)
-    }
-
     /// Wrap `inner` in deterministic fault injection driven by `plan`.
     /// Every link subsequently dialed through the returned fabric passes
     /// through a fault shim; the [`ChaosControl`] handle steers
@@ -172,7 +157,6 @@ impl Fabric {
             }
             // Faults are injected on the dial side; listening is clean.
             Fabric::Chaos(net) => net.inner.listen(),
-            Fabric::Sim(net) => Ok(net.listen_impl()),
         }
     }
 
@@ -199,7 +183,6 @@ impl Fabric {
                     Arc::clone(&net.shared),
                 ))
             }
-            Fabric::Sim(net) => net.dial_impl(addr),
         }
     }
 }

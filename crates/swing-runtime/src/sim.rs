@@ -6,7 +6,7 @@
 //! with its router, in-flight table, dedup windows, and telemetry) —
 //! runs here under a [`VirtualClock`] on a single-threaded
 //! discrete-event loop, with transport replaced by [`SimFabric`]: seeded per-link
-//! delay/loss/duplication models behind the ordinary [`Fabric`] seam.
+//! delay/loss/duplication models behind the senders a live `dial` hands out.
 //! A whole chaos scenario (lossy links, a mid-run crash, ACK-deadline
 //! retransmission, re-routing to survivors) therefore becomes a pure
 //! function of its seed — run it twice and every timestamp, counter,
@@ -15,14 +15,14 @@
 //!
 //! Two layers:
 //!
-//! * [`SimFabric`] — the transport. `listen` registers an inbox under a
-//!   `sim:<n>` address; `dial` creates a dedicated link with its own
-//!   seeded RNG. Messages sent on a link are collected by
+//! * [`SimFabric`] — the transport. `listen` opens a numbered endpoint;
+//!   `dial` creates a dedicated link toward one, with its own seeded
+//!   RNG. Messages sent on a link are collected by
 //!   [`SimFabric::poll`], which applies the link's model and returns
-//!   `(deliver_at, addr, message)` triples for the event loop to
-//!   schedule. Crashing an address drops its inbox *and* the receiving
-//!   ends of every link toward it, so senders observe a disconnected
-//!   channel — the exact failure the live eviction path handles.
+//!   `(deliver_at, endpoint, message)` triples for the event loop to
+//!   schedule. Crashing an endpoint drops the receiving ends of every
+//!   link toward it, so senders observe a disconnected channel — the
+//!   exact failure the live eviction path handles.
 //! * [`SimSwarm`] — the harness. It deploys a real [`UnitRegistry`]'s
 //!   units across simulated workers (the master's
 //!   [`Placement::SourceOnFirst`]), wires their [`Dispatcher`]s through
@@ -55,8 +55,6 @@
 //!   collapse under stragglers), a bounded sensing buffer at the
 //!   source, and a link-break timeout that feeds the crash → evict
 //!   path.
-//!
-//! [`Fabric`]: crate::fabric::Fabric
 
 use crate::dispatch::Dispatcher;
 use crate::executor::{DeliveryStats, NodeConfig, SinkMeter, SinkReport};
@@ -65,9 +63,7 @@ use crate::machine::UnitMachine;
 use crate::master::Placement;
 use crate::registry::UnitRegistry;
 use crate::swarm::{delivery_from_snapshot, DeliveryByUnit};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use swing_core::clock::{Clock, VirtualClock};
 use swing_core::event::EventQueue;
@@ -163,8 +159,8 @@ impl SimLinkConfig {
 struct RadioLink {
     /// Signal of the worker the link follows.
     rssi: MobilityTrace,
-    /// Address of that worker: a broken link takes it down.
-    owner: String,
+    /// Endpoint of that worker: a broken link takes it down.
+    owner: usize,
     air: SenderRadio,
 }
 
@@ -172,7 +168,8 @@ struct RadioLink {
 /// state. Dropping the struct disconnects the sender — that is how a
 /// crash propagates to the peers holding the dial side.
 struct SimLink {
-    to: String,
+    /// The endpoint the link delivers to.
+    to: usize,
     rx: MsgReceiver,
     rng: DetRng,
     cfg: SimLinkConfig,
@@ -182,42 +179,44 @@ struct SimLink {
     radio: Option<Box<RadioLink>>,
 }
 
-struct SimNetState {
-    next_addr: u64,
-    next_link: u64,
-    inboxes: HashMap<String, MsgSender>,
-    links: Vec<SimLink>,
-    /// Link model applied to links dialed toward each address (falls
-    /// back to `default_link`).
-    per_addr: HashMap<String, SimLinkConfig>,
-    default_link: SimLinkConfig,
-    /// Workers whose radio link broke since the last
-    /// [`SimFabric::take_broken`].
-    broken: Vec<String>,
+/// One `listen`ed endpoint.
+struct Endpoint {
+    /// Cleared by [`SimFabric::crash`].
+    up: bool,
+    /// Link model applied to links dialed toward it (`None`: the
+    /// fabric's default).
+    link: Option<SimLinkConfig>,
 }
 
-/// The simulated transport (see the module docs). Behaves like the
-/// in-process fabric — `listen` hands out `sim:<n>` inboxes, `dial`
-/// returns a sender — except messages do not arrive until the event
-/// loop calls [`SimFabric::poll`] and schedules the returned
-/// deliveries, and each link carries a seeded [`SimLinkConfig`] fault
-/// model.
+/// The simulated transport (see the module docs), owned and pumped by
+/// one event loop. `listen` hands out endpoints, numbered from 0 in
+/// listen order; `dial` returns the sending end of a dedicated link
+/// toward one, carrying a seeded [`SimLinkConfig`] fault model. What is
+/// sent on a link goes nowhere until the loop calls
+/// [`SimFabric::poll`], which hands it back as deliveries to schedule —
+/// addressed by endpoint number, so a message in transit costs no
+/// lookup.
 pub struct SimFabric {
     seed: u64,
-    state: Mutex<SimNetState>,
+    next_link: u64,
+    endpoints: Vec<Endpoint>,
+    links: Vec<SimLink>,
+    default_link: SimLinkConfig,
+    /// Endpoints of the workers whose radio link broke since the last
+    /// [`SimFabric::take_broken`].
+    broken: Vec<usize>,
     /// Data-plane messages dropped by link fault models.
-    dropped: AtomicU64,
+    dropped: u64,
     /// Data-plane messages duplicated by link fault models.
-    duplicated: AtomicU64,
+    duplicated: u64,
 }
 
 impl std::fmt::Debug for SimFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.state.lock();
         f.debug_struct("SimFabric")
             .field("seed", &self.seed)
-            .field("inboxes", &s.inboxes.len())
-            .field("links", &s.links.len())
+            .field("endpoints", &self.endpoints.len())
+            .field("links", &self.links.len())
             .finish()
     }
 }
@@ -225,141 +224,148 @@ impl std::fmt::Debug for SimFabric {
 impl SimFabric {
     /// A fresh simulated transport. All link RNGs derive from `seed`.
     #[must_use]
-    pub fn new(seed: u64) -> Arc<SimFabric> {
-        Arc::new(SimFabric {
+    pub fn new(seed: u64) -> SimFabric {
+        SimFabric {
             seed,
-            state: Mutex::new(SimNetState {
-                next_addr: 0,
-                next_link: 0,
-                inboxes: HashMap::new(),
-                links: Vec::new(),
-                per_addr: HashMap::new(),
-                default_link: SimLinkConfig::default(),
-                broken: Vec::new(),
-            }),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-        })
+            next_link: 0,
+            endpoints: Vec::new(),
+            links: Vec::new(),
+            default_link: SimLinkConfig::default(),
+            broken: Vec::new(),
+            dropped: 0,
+            duplicated: 0,
+        }
     }
 
     /// Set the fault model applied to links dialed from now on whose
-    /// destination has no per-address override.
+    /// destination has no override of its own.
     ///
     /// # Errors
     /// [`Error::Malformed`] if a probability is outside `[0, 1]` (every
     /// setter checks, so `poll` never meets an invalid model).
-    pub fn set_default_link(&self, cfg: SimLinkConfig) -> Result<()> {
+    pub fn set_default_link(&mut self, cfg: SimLinkConfig) -> Result<()> {
         cfg.validate()?;
-        self.state.lock().default_link = cfg;
+        self.default_link = cfg;
         Ok(())
     }
 
-    /// Override the fault model for links dialed toward `addr` from now
-    /// on (existing links keep their model).
+    /// Override the fault model for links dialed toward `endpoint` from
+    /// now on (existing links keep their model).
     ///
     /// # Errors
     /// As [`set_default_link`](Self::set_default_link).
-    pub fn set_link_to(&self, addr: &str, cfg: SimLinkConfig) -> Result<()> {
+    ///
+    /// # Panics
+    /// If `endpoint` was never opened (as do the two calls below).
+    pub fn set_link_to(&mut self, endpoint: usize, cfg: SimLinkConfig) -> Result<()> {
         cfg.validate()?;
-        self.state.lock().per_addr.insert(addr.to_owned(), cfg);
+        self.endpoints[endpoint].link = Some(cfg);
         Ok(())
     }
 
-    /// Re-model *existing and future* links toward `addr` (partition
+    /// Re-model *existing and future* links toward `endpoint` (partition
     /// injection: a fully-dropping model isolates the endpoint's inbound
     /// data plane while control traffic still crosses).
     ///
     /// # Errors
     /// As [`set_default_link`](Self::set_default_link).
-    pub fn set_links_toward(&self, addr: &str, cfg: SimLinkConfig) -> Result<()> {
-        cfg.validate()?;
-        let mut s = self.state.lock();
-        s.per_addr.insert(addr.to_owned(), cfg);
-        for l in &mut s.links {
-            if l.to == addr {
-                l.cfg = cfg;
-            }
+    pub fn set_links_toward(&mut self, endpoint: usize, cfg: SimLinkConfig) -> Result<()> {
+        self.set_link_to(endpoint, cfg)?;
+        for l in self.links_toward(endpoint) {
+            l.cfg = cfg;
         }
         Ok(())
     }
 
     /// Undo [`set_links_toward`](Self::set_links_toward): existing and
-    /// future links toward `addr` return to the default model.
-    pub fn clear_links_toward(&self, addr: &str) {
-        let mut s = self.state.lock();
-        s.per_addr.remove(addr);
-        let cfg = s.default_link;
-        for l in &mut s.links {
-            if l.to == addr {
-                l.cfg = cfg;
-            }
+    /// future links toward `endpoint` return to the default model.
+    pub fn clear_links_toward(&mut self, endpoint: usize) {
+        self.endpoints[endpoint].link = None;
+        let cfg = self.default_link;
+        for l in self.links_toward(endpoint) {
+            l.cfg = cfg;
         }
+    }
+
+    /// The links that deliver to `endpoint`.
+    fn links_toward(&mut self, endpoint: usize) -> impl Iterator<Item = &mut SimLink> {
+        self.links.iter_mut().filter(move |l| l.to == endpoint)
     }
 
     /// Messages the link fault models have dropped so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped
     }
 
     /// Messages the link fault models have duplicated so far.
     #[must_use]
     pub fn duplicated(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
+        self.duplicated
     }
 
-    /// Register an inbox: the dialable `sim:<n>` address plus the
-    /// receiving end (the `Fabric::listen` contract).
-    pub fn listen_impl(&self) -> (String, MsgReceiver) {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut s = self.state.lock();
-        let addr = format!("sim:{}", s.next_addr);
-        s.next_addr += 1;
-        s.inboxes.insert(addr.clone(), tx.into());
-        (addr, rx)
+    /// Open an endpoint and return its number (dense from 0, in listen
+    /// order): what `dial` takes and what `poll`'s deliveries carry.
+    pub fn listen(&mut self) -> usize {
+        self.endpoints.push(Endpoint {
+            up: true,
+            link: None,
+        });
+        self.endpoints.len() - 1
     }
 
-    /// Create a dedicated faulted link toward `addr` and return its
-    /// sending end (the `Fabric::dial` contract).
-    pub fn dial_impl(&self, addr: &str) -> Result<MsgSender> {
-        self.dial(addr, None)
+    /// Create a dedicated faulted link toward endpoint `to` and return
+    /// its sending end.
+    ///
+    /// # Errors
+    /// `NotFound` if nothing listens there (never opened, or crashed).
+    pub fn dial(&mut self, to: usize) -> Result<MsgSender> {
+        self.dial_link(to, None)
     }
 
-    /// Like [`dial_impl`](Self::dial_impl) for a link that crosses the
-    /// radio of the worker listening at `owner`: its airtime follows
-    /// `rssi` (that worker's signal trace), and a broken link reports
-    /// `owner` through [`take_broken`](Self::take_broken).
-    pub fn dial_radio(&self, addr: &str, owner: &str, rssi: &MobilityTrace) -> Result<MsgSender> {
-        self.dial(addr, Some((owner, rssi)))
+    /// Like [`dial`](Self::dial) for a link that crosses the radio of
+    /// the worker listening at `owner`: its airtime follows `rssi` (that
+    /// worker's signal trace), and a broken link reports `owner` through
+    /// [`take_broken`](Self::take_broken).
+    pub fn dial_radio(
+        &mut self,
+        to: usize,
+        owner: usize,
+        rssi: &MobilityTrace,
+    ) -> Result<MsgSender> {
+        self.dial_link(to, Some((owner, rssi)))
     }
 
-    fn dial(&self, addr: &str, radio: Option<(&str, &MobilityTrace)>) -> Result<MsgSender> {
-        let mut s = self.state.lock();
-        if !s.inboxes.contains_key(addr) {
+    fn dial_link(
+        &mut self,
+        to: usize,
+        radio: Option<(usize, &MobilityTrace)>,
+    ) -> Result<MsgSender> {
+        let Some(endpoint) = self.endpoints.get(to).filter(|e| e.up) else {
             return Err(Error::io(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
-                format!("no sim endpoint at {addr}"),
+                format!("no sim endpoint {to}"),
             )));
-        }
-        let cfg = s.per_addr.get(addr).copied().unwrap_or(s.default_link);
+        };
+        let cfg = endpoint.link.unwrap_or(self.default_link);
         let (tx, rx) = crossbeam::channel::unbounded();
         // Distinct links draw from distinct deterministic streams: mix
         // the link ordinal into the seed. Dial order is deterministic
         // under the single-threaded event loop.
-        let link_no = s.next_link;
-        s.next_link += 1;
+        let link_no = self.next_link;
+        self.next_link += 1;
         let seed = self
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(link_no + 1));
-        s.links.push(SimLink {
-            to: addr.to_owned(),
+        self.links.push(SimLink {
+            to,
             rx,
             rng: DetRng::seed_from_u64(seed),
             cfg,
             radio: radio.map(|(owner, rssi)| {
                 Box::new(RadioLink {
                     rssi: rssi.clone(),
-                    owner: owner.to_owned(),
+                    owner,
                     air: SenderRadio::new(),
                 })
             }),
@@ -367,15 +373,20 @@ impl SimFabric {
         Ok(tx.into())
     }
 
-    /// Drain every link and turn the messages in transit into scheduled
-    /// deliveries: `(deliver_at_us, destination address, message)`.
-    /// Fault models apply here — a dropped message simply produces no
-    /// delivery; a duplicated one produces two with independent delays.
-    /// Links are drained in dial order, so the result is deterministic.
-    pub fn poll(&self, now_us: u64) -> Vec<(u64, String, Message)> {
-        let mut out = Vec::new();
-        let mut s = self.state.lock();
-        let SimNetState { links, broken, .. } = &mut *s;
+    /// Drain every link and append the messages in transit to `due` as
+    /// deliveries to schedule: `(deliver_at_us, destination endpoint,
+    /// message)`. Fault models apply here — a dropped message simply
+    /// produces no delivery; a duplicated one produces two with
+    /// independent delays. Links are drained in dial order, so the
+    /// result is deterministic.
+    pub fn poll(&mut self, now_us: u64, due: &mut Vec<(u64, usize, Message)>) {
+        let SimFabric {
+            links,
+            broken,
+            dropped,
+            duplicated,
+            ..
+        } = self;
         for link in links {
             // Fast path: poll runs after every event over every link,
             // and almost all links are idle almost always — at
@@ -390,7 +401,7 @@ impl SimFabric {
                     && link.cfg.drop_prob > 0.0
                     && link.rng.random_bool(link.cfg.drop_prob)
                 {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    *dropped += 1;
                     continue;
                 }
                 // One crossing's delay; `None` when the radio link is
@@ -413,7 +424,7 @@ impl SimFabric {
                                 Some(tx.end_us - now_us)
                             }
                             _ => {
-                                broken.push(radio.owner.clone());
+                                broken.push(radio.owner);
                                 None
                             }
                         }
@@ -424,43 +435,35 @@ impl SimFabric {
                 };
                 if data_plane && link.cfg.dup_prob > 0.0 && link.rng.random_bool(link.cfg.dup_prob)
                 {
-                    self.duplicated.fetch_add(1, Ordering::Relaxed);
+                    *duplicated += 1;
                     if let Some(d2) = delay(&mut link.rng) {
-                        out.push((now_us + d2, link.to.clone(), msg.clone()));
+                        due.push((now_us + d2, link.to, msg.clone()));
                     }
                 }
-                out.push((now_us + d, link.to.clone(), msg));
+                due.push((now_us + d, link.to, msg));
             }
         }
-        out
     }
 
-    /// Addresses of the workers whose radio link broke since the last
+    /// Endpoints of the workers whose radio link broke since the last
     /// call (the event loop crashes them: a broken link is a departure).
-    pub fn take_broken(&self) -> Vec<String> {
-        std::mem::take(&mut self.state.lock().broken)
+    pub fn take_broken(&mut self) -> Vec<usize> {
+        std::mem::take(&mut self.broken)
     }
 
-    /// Deliver a message into the inbox at `addr` (the event loop calls
-    /// this when a scheduled delivery fires). `false` if the address is
-    /// gone (crashed): the message evaporates, as on a real dead link.
-    pub fn deliver(&self, addr: &str, msg: Message) -> bool {
-        let s = self.state.lock();
-        match s.inboxes.get(addr) {
-            Some(tx) => tx.send(msg).is_ok(),
-            None => false,
-        }
-    }
-
-    /// Kill the endpoint at `addr`: its inbox unregisters and the
-    /// receiving end of every link toward it drops, so peers holding
-    /// the dial side observe a disconnected channel on their next send
-    /// — driving the production eviction/re-route path.
-    pub fn crash(&self, addr: &str) -> bool {
-        let mut s = self.state.lock();
-        let existed = s.inboxes.remove(addr).is_some();
-        s.links.retain(|l| l.to != addr);
-        existed
+    /// Kill `endpoint`: it can no longer be dialed and the receiving end
+    /// of every link toward it drops, so peers holding the dial side
+    /// observe a disconnected channel on their next send — driving the
+    /// production eviction/re-route path. What is already in transit
+    /// toward it is the event loop's to discard on arrival. `false` if
+    /// it was not up.
+    pub fn crash(&mut self, endpoint: usize) -> bool {
+        let was_up = self
+            .endpoints
+            .get_mut(endpoint)
+            .is_some_and(|e| std::mem::replace(&mut e.up, false));
+        self.links.retain(|l| l.to != endpoint);
+        was_up
     }
 }
 
@@ -862,10 +865,10 @@ struct SimExec {
     cpu: Option<Box<DeviceCpu>>,
 }
 
+/// Worker `w` listens at fabric endpoint `w`: the swarm is the only
+/// listener on its fabric and opens one endpoint per roster entry.
 struct SimWorker {
     name: String,
-    addr: String,
-    inbox: MsgReceiver,
     alive: bool,
     /// Installed units, kept for re-placement: when another worker dies
     /// this one may be asked to host the orphaned stages.
@@ -906,10 +909,9 @@ pub struct GatewayReceipt {
 enum SimEvent {
     /// A source pacing tick for the exec at this index.
     SourceTick(usize),
-    /// A message arrives at a worker inbox.
-    Deliver { addr: String, msg: Message },
-    /// Service ACK-deadline / pending-queue timers of one exec
-    /// (`usize::MAX` = the run_until horizon pin, a no-op).
+    /// A message arrives at worker `to`.
+    Deliver { to: usize, msg: Message },
+    /// Service ACK-deadline / pending-queue timers of one exec.
     Timer(usize),
     /// An operator finishes serving one tuple (serialized service).
     ServiceDone(usize),
@@ -979,7 +981,9 @@ enum SimEvent {
 /// ```
 pub struct SimSwarm {
     clock: Arc<VirtualClock>,
-    fabric: Arc<SimFabric>,
+    fabric: SimFabric,
+    /// `pump_fabric`'s poll buffer, kept for its capacity.
+    due: Vec<(u64, usize, Message)>,
     queue: EventQueue<SimEvent>,
     workers: Vec<SimWorker>,
     execs: Vec<SimExec>,
@@ -1084,7 +1088,7 @@ impl SimSwarm {
         }
 
         let clock = VirtualClock::shared();
-        let fabric = SimFabric::new(config.seed);
+        let mut fabric = SimFabric::new(config.seed);
         fabric.set_default_link(config.link)?;
         // Event timestamps follow the swarm's virtual clock, so a
         // traced run is reproducible down to the event ring.
@@ -1097,7 +1101,8 @@ impl SimSwarm {
         let telemetry = config.node.telemetry.clone();
         let mut sim = SimSwarm {
             clock: Arc::clone(&clock),
-            fabric: Arc::clone(&fabric),
+            fabric,
+            due: Vec::new(),
             queue: EventQueue::new(),
             workers: Vec::new(),
             execs: Vec::new(),
@@ -1132,18 +1137,10 @@ impl SimSwarm {
                 sim.join_at(name, registry, device, at);
                 continue;
             }
-            let (addr, inbox) = fabric.listen_impl();
             if let Some(t) = device.as_ref().and_then(|d| d.departs_at(0)) {
                 sim.queue.schedule(t, SimEvent::Crash(sim.workers.len()));
             }
-            sim.workers.push(SimWorker {
-                name,
-                addr,
-                inbox,
-                alive: true,
-                registry,
-                device,
-            });
+            sim.admit(name, registry, device);
         }
 
         if let Some(cfg) = sim.config.energy.clone() {
@@ -1214,6 +1211,22 @@ impl SimSwarm {
             }
         }
         Ok(sim)
+    }
+
+    /// Add a worker to the roster, listening at the endpoint of its
+    /// index.
+    fn admit(&mut self, name: String, registry: UnitRegistry, device: Option<WorkerSpec>) {
+        assert_eq!(
+            self.fabric.listen(),
+            self.workers.len(),
+            "worker w listens at endpoint w"
+        );
+        self.workers.push(SimWorker {
+            name,
+            alive: true,
+            registry,
+            device,
+        });
     }
 
     /// Desired hosts of a role over the *live* roster, under the
@@ -1309,15 +1322,14 @@ impl SimSwarm {
     /// a link between two workers crosses the radio of whichever is a
     /// described device (the receiver's, when both are); within one
     /// worker, or between two undescribed ones, it is a plain link.
-    fn dial(&self, from: usize, to: usize) -> Result<MsgSender> {
-        let addr = &self.workers[to].addr;
+    fn dial(&mut self, from: usize, to: usize) -> Result<MsgSender> {
         let radio_end = [to, from]
             .into_iter()
             .filter(|_| from != to && self.config.radio_window_bytes.is_some())
-            .find_map(|w| Some((&self.workers[w].addr, self.workers[w].device.as_ref()?)));
+            .find_map(|w| Some((w, self.workers[w].device.as_ref()?)));
         match radio_end {
-            Some((owner, device)) => self.fabric.dial_radio(addr, owner, &device.mobility),
-            None => self.fabric.dial_impl(addr),
+            Some((owner, device)) => self.fabric.dial_radio(to, owner, &device.mobility),
+            None => self.fabric.dial(to),
         }
     }
 
@@ -1333,10 +1345,10 @@ impl SimSwarm {
         &self.config.node.telemetry
     }
 
-    /// The simulated transport (fault counters, live link overrides).
+    /// The simulated transport (its fault counters).
     #[must_use]
-    pub fn fabric(&self) -> Arc<SimFabric> {
-        Arc::clone(&self.fabric)
+    pub fn fabric(&self) -> &SimFabric {
+        &self.fabric
     }
 
     /// Current virtual time, microseconds.
@@ -1555,10 +1567,8 @@ impl SimSwarm {
             self.pump_fabric();
         }
         self.clock.advance_to(until_us);
-        // EventQueue::now_us only advances on pop; pin it to the
-        // horizon so a subsequent schedule cannot land in the past.
-        self.queue.schedule(until_us, SimEvent::Timer(usize::MAX));
-        let _ = self.queue.pop();
+        // A subsequent schedule must not land before the horizon.
+        self.queue.advance_to(until_us);
     }
 
     /// Advance virtual time by `span_us` from now.
@@ -1658,8 +1668,10 @@ impl SimSwarm {
     /// next is released, until every pending queue is empty or held.
     fn pump_fabric(&mut self) {
         let now = self.queue.now_us();
+        let mut due = std::mem::take(&mut self.due);
         loop {
-            for (at, addr, msg) in self.fabric.poll(now) {
+            self.fabric.poll(now, &mut due);
+            for (at, to, msg) in due.drain(..) {
                 if let (Some(cap), Message::Data { dest, from, tuple }) =
                     (self.config.radio_window_bytes, &msg)
                 {
@@ -1668,24 +1680,23 @@ impl SimSwarm {
                         w.used += w.frame;
                     });
                 }
-                self.queue.schedule(at, SimEvent::Deliver { addr, msg });
+                self.queue.schedule(at, SimEvent::Deliver { to, msg });
             }
             if self.config.radio_window_bytes.is_none() {
-                return;
+                break;
             }
-            for addr in self.fabric.take_broken() {
-                if let Some(w) = self.workers.iter().position(|x| x.addr == addr) {
-                    self.on_crash(w, now);
-                }
+            for w in self.fabric.take_broken() {
+                self.on_crash(w, now);
             }
             let mut sent = false;
             for e in &mut self.execs {
                 sent |= e.alive && e.machine.disp.flush_one();
             }
             if !sent {
-                return;
+                break;
             }
         }
+        self.due = due;
     }
 
     /// Adjust the in-flight window of the radio edge `from → to` and
@@ -1758,11 +1769,8 @@ impl SimSwarm {
     fn handle(&mut self, now: u64, ev: SimEvent) {
         match ev {
             SimEvent::SourceTick(i) => self.on_source_tick(i, now),
-            SimEvent::Deliver { addr, msg } => self.on_deliver(&addr, msg, now),
+            SimEvent::Deliver { to, msg } => self.on_deliver(to, msg, now),
             SimEvent::Timer(i) => {
-                if i == usize::MAX {
-                    return; // run_until horizon pin
-                }
                 if self.execs[i].alive {
                     self.execs[i].armed_timer = None;
                     self.execs[i].machine.disp.service_timers();
@@ -1807,9 +1815,8 @@ impl SimSwarm {
                 });
             }
             SimEvent::Partition { worker, restore } => {
-                let addr = self.workers[worker].addr.clone();
                 if restore {
-                    self.fabric.clear_links_toward(&addr);
+                    self.fabric.clear_links_toward(worker);
                 } else {
                     // Inbound blackhole: everything dialed toward the
                     // partitioned worker drops; its own outbound links
@@ -1819,7 +1826,7 @@ impl SimSwarm {
                         ..self.config.link
                     };
                     self.fabric
-                        .set_links_toward(&addr, cfg)
+                        .set_links_toward(worker, cfg)
                         .expect("the swarm's validated link model, fully dropping");
                 }
             }
@@ -2103,35 +2110,27 @@ impl SimSwarm {
         self.arm_timer(i, now);
     }
 
-    fn on_deliver(&mut self, addr: &str, msg: Message, now: u64) {
-        if !self.fabric.deliver(addr, msg) {
+    fn on_deliver(&mut self, w: usize, msg: Message, now: u64) {
+        if !self.workers[w].alive {
             return; // crashed endpoint: the message evaporates
         }
-        let Some(w) = self.workers.iter().position(|x| x.addr == addr) else {
-            return;
-        };
-        // Drain the inbox through the real listen-side receiver (the
-        // clone shares the channel; it frees `self` for the handlers).
-        let inbox = self.workers[w].inbox.clone();
-        while let Ok(msg) = inbox.try_recv() {
-            self.charge_transfer(w, &msg, now);
-            match msg {
-                Message::Data { dest, from, tuple } => self.on_data(dest, from, tuple, now),
-                Message::Ack {
-                    seq,
-                    to,
-                    processing_us,
-                    ..
-                } => {
-                    if let Some(&i) = self.by_unit.get(&to) {
-                        if self.execs[i].alive {
-                            self.execs[i].machine.disp.on_ack(seq, processing_us);
-                            self.arm_timer(i, now);
-                        }
+        self.charge_transfer(w, &msg, now);
+        match msg {
+            Message::Data { dest, from, tuple } => self.on_data(dest, from, tuple, now),
+            Message::Ack {
+                seq,
+                to,
+                processing_us,
+                ..
+            } => {
+                if let Some(&i) = self.by_unit.get(&to) {
+                    if self.execs[i].alive {
+                        self.execs[i].machine.disp.on_ack(seq, processing_us);
+                        self.arm_timer(i, now);
                     }
                 }
-                _ => {}
             }
+            _ => {}
         }
     }
 
@@ -2198,7 +2197,7 @@ impl SimSwarm {
         self.workers[w].alive = false;
         self.crashed_at.insert(w, now);
         self.departures.push((now, self.workers[w].name.clone()));
-        self.fabric.crash(&self.workers[w].addr);
+        self.fabric.crash(w);
         for e in &mut self.execs {
             if e.worker == w {
                 e.alive = false;
@@ -2274,7 +2273,6 @@ impl SimSwarm {
         else {
             return;
         };
-        let (addr, inbox) = self.fabric.listen_impl();
         if let Some(energy) = &mut self.energy {
             let telemetry = &self.config.node.telemetry;
             let pack = EnergyRt::make_pack(&energy.cfg, &name, device.as_ref(), telemetry);
@@ -2283,14 +2281,7 @@ impl SimSwarm {
         if let Some(t) = device.as_ref().and_then(|d| d.departs_at(now)) {
             self.queue.schedule(t, SimEvent::Crash(self.workers.len()));
         }
-        self.workers.push(SimWorker {
-            name,
-            addr,
-            inbox,
-            alive: true,
-            registry,
-            device,
-        });
+        self.admit(name, registry, device);
         self.epoch += 1;
         self.epoch_g.set_u64(self.epoch);
         self.reconcile(now);
@@ -2367,6 +2358,7 @@ impl SimSwarm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use swing_core::config::RetryConfig;
     use swing_core::flow::OverloadPolicy;
     use swing_core::routing::Policy;
@@ -2604,7 +2596,7 @@ mod tests {
 
     #[test]
     fn set_default_link_validates() {
-        let fabric = SimFabric::new(1);
+        let mut fabric = SimFabric::new(1);
         for bad in bad_links() {
             assert_malformed(fabric.set_default_link(bad), "set_default_link");
         }
@@ -2615,32 +2607,47 @@ mod tests {
 
     #[test]
     fn set_link_to_validates() {
-        let fabric = SimFabric::new(1);
-        let (addr, _inbox) = fabric.listen_impl();
+        let mut fabric = SimFabric::new(1);
+        let endpoint = fabric.listen();
         for bad in bad_links() {
-            assert_malformed(fabric.set_link_to(&addr, bad), "set_link_to");
+            assert_malformed(fabric.set_link_to(endpoint, bad), "set_link_to");
         }
         assert!(fabric
-            .set_link_to(&addr, SimLinkConfig::default().with_dup(1.0))
+            .set_link_to(endpoint, SimLinkConfig::default().with_dup(1.0))
             .is_ok());
     }
 
     #[test]
     fn set_links_toward_validates_and_leaves_live_links_alone() {
-        let fabric = SimFabric::new(1);
-        let (addr, inbox) = fabric.listen_impl();
-        let tx = fabric.dial_impl(&addr).unwrap();
+        let mut fabric = SimFabric::new(1);
+        let endpoint = fabric.listen();
+        let tx = fabric.dial(endpoint).unwrap();
         for bad in bad_links() {
-            assert_malformed(fabric.set_links_toward(&addr, bad), "set_links_toward");
+            assert_malformed(fabric.set_links_toward(endpoint, bad), "set_links_toward");
         }
         // The rejected models never reached the live link: a message
         // still crosses it, and `poll` has nothing to trip over.
         tx.send(Message::Stop).unwrap();
-        let due = fabric.poll(0);
-        assert_eq!(due.len(), 1);
-        let (_, to, msg) = due.into_iter().next().unwrap();
-        assert!(fabric.deliver(&to, msg));
-        assert!(inbox.try_recv().is_ok());
+        let mut due = Vec::new();
+        fabric.poll(0, &mut due);
+        assert!(matches!(due[..], [(_, to, Message::Stop)] if to == endpoint));
+    }
+
+    #[test]
+    fn a_crashed_endpoint_disconnects_its_links_and_cannot_be_dialed() {
+        let mut fabric = SimFabric::new(1);
+        let (a, b) = (fabric.listen(), fabric.listen());
+        let (to_a, to_b) = (fabric.dial(a).unwrap(), fabric.dial(b).unwrap());
+        assert!(fabric.crash(a));
+        assert!(!fabric.crash(a), "already down");
+        assert!(to_a.send(Message::Stop).is_err(), "senders see the break");
+        assert!(fabric.dial(a).is_err());
+        assert!(fabric.dial(7).is_err(), "never opened");
+        // The neighbour is untouched.
+        to_b.send(Message::Stop).unwrap();
+        let mut due = Vec::new();
+        fabric.poll(0, &mut due);
+        assert!(matches!(due[..], [(_, to, Message::Stop)] if to == b));
     }
 
     /// Which workers host the named stage right now.

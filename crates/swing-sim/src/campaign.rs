@@ -253,7 +253,7 @@ fn registry(frames: u64) -> UnitRegistry {
     r
 }
 
-fn sim_config(seed: u64) -> SimSwarmConfig {
+pub(crate) fn sim_config(seed: u64) -> SimSwarmConfig {
     let mut c = SimSwarmConfig {
         seed,
         ..SimSwarmConfig::default()

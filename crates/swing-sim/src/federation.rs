@@ -16,15 +16,17 @@
 //! and its own forked RNG streams, so the federation is a pure
 //! function of its seed: the same [`FederationConfig`] exports a
 //! byte-identical federated telemetry JSON at any thread count.
-//! Telemetry rolls up by merging the per-swarm snapshots in shard
-//! order ([`Snapshot::merge_from`] is exact on counters, gauges and
-//! histogram buckets); member swarms reuse the same worker names, so
-//! merged metric keys collide on purpose and the rollup reads as
-//! federated totals.
+//! Telemetry rolls up by folding each member's registry into one
+//! snapshot in shard order ([`Registry::merge_into`] is exact on
+//! counters, gauges and histogram buckets); member swarms reuse the
+//! same worker names, so merged metric keys collide on purpose and the
+//! rollup reads as federated totals.
+//!
+//! [`Registry::merge_into`]: swing_telemetry::Registry::merge_into
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-use swing_core::config::{ReorderConfig, RetryConfig};
 use swing_core::graph::AppGraph;
 use swing_core::rng::DetRng;
 use swing_core::timing;
@@ -150,6 +152,26 @@ impl SwarmStatus {
     }
 }
 
+/// Where the wall time of one [`Federation::run`] went, phase by phase
+/// (the rows of DESIGN.md's one-evaluation table). The phases are
+/// serial, so they sum to the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunWall {
+    /// The windowed event loop, to the horizon.
+    pub engine: Duration,
+    /// Draining every member's tail and stopping its units
+    /// ([`SimSwarm::finish`]), which ends with the swarm dropped.
+    pub finish: Duration,
+    /// Reading each member's status row from its registry.
+    pub status: Duration,
+    /// Folding each member's registry into the federated rollup.
+    pub rollup: Duration,
+    /// Dropping each member's telemetry domain once it is folded.
+    pub teardown: Duration,
+    /// Rendering the rollup as JSON.
+    pub export: Duration,
+}
+
 /// What a [`Federation::run`] produced.
 #[derive(Debug, Clone)]
 pub struct FederationReport {
@@ -165,12 +187,14 @@ pub struct FederationReport {
     pub routed: u64,
     /// Federation-tier ACKs consumed by emitters.
     pub acked: u64,
-    /// The federated telemetry rollup (per-swarm snapshots merged in
+    /// The federated telemetry rollup (per-swarm registries merged in
     /// shard order) rendered as JSON — the byte-identity artifact CI
     /// diffs across thread counts.
     pub federated_json: String,
     /// The merged snapshot itself, for programmatic totals.
     pub federated: Snapshot,
+    /// Wall time per phase of this run.
+    pub wall: RunWall,
 }
 
 impl FederationReport {
@@ -266,31 +290,13 @@ pub(crate) fn member_registry(frames: u64) -> UnitRegistry {
 /// no shared [`SwarmConfig`](swing_runtime::config::SwarmConfig) is
 /// supplied: the chaos-campaign settings (retransmission on, a reorder
 /// span wide enough that churn converts to staleness rather than
-/// skips), except the dedup window. The campaign's 8192-entry window
-/// is preallocated *per upstream*, and a federated sink has one
-/// upstream per operator host — at 10k devices that alone costs
-/// hundreds of megabytes and thrashes every cache level. 1024 entries
-/// still dwarf the worst-case in-flight budget (max_retries × credit
-/// window), so dedup semantics are unchanged.
+/// skips) at the federation's capture rate. The campaign's 8192-entry
+/// dedup window is a bound, not a reservation — a window holds what its
+/// upstream has sent — so a federated sink's one window per operator
+/// host costs the same here as under any smaller bound.
 fn member_sim_config(seed: u64, fps: f64) -> SimSwarmConfig {
-    let mut c = SimSwarmConfig {
-        seed,
-        ..SimSwarmConfig::default()
-    };
+    let mut c = crate::campaign::sim_config(seed);
     c.node.input_fps = fps;
-    c.node.retry = RetryConfig {
-        enabled: true,
-        deadline_factor: 3.0,
-        deadline_floor_us: 50_000,
-        deadline_ceiling_us: 400_000,
-        backoff_factor: 1.5,
-        max_retries: 20,
-        dedup_window: 1024,
-    };
-    c.node.reorder = ReorderConfig {
-        span_us: 10 * SECOND_US,
-    };
-    c.node.telemetry = Telemetry::new();
     c
 }
 
@@ -406,18 +412,28 @@ impl Federation {
     /// identity exact.
     #[must_use]
     pub fn run(mut self) -> FederationReport {
+        let mut wall = RunWall::default();
+        let mut lap = Instant::now();
+        // Charge the time since the last lap to one phase.
+        let mut charge = |phase: &mut Duration| {
+            let now = Instant::now();
+            *phase += now - lap;
+            lap = now;
+        };
         let engine = shard::run_to_horizon(
             &mut self.shards,
             timing::GATEWAY_MIN_LATENCY_US,
             self.config.horizon_us,
             self.config.threads,
         );
+        charge(&mut wall.engine);
         let mut routed = 0u64;
         let mut acked = 0u64;
         let mut swarms = Vec::with_capacity(self.shards.len());
+        let mut federated = Snapshot::default();
         // finish() is serial: the engine stopped, members no longer
         // exchange, and each tail drain touches only member state.
-        for shard in self.shards {
+        for (shard, telemetry) in self.shards.into_iter().zip(self.telemetry) {
             let id = shard.id();
             routed += shard.routed();
             acked += shard.acked();
@@ -426,13 +442,18 @@ impl Federation {
             let alive_workers = swarm.alive_workers().len();
             let (gw_egress, gw_ingress) = swarm.gateway_counts();
             let _ = swarm.finish();
-            let snap = self.telemetry[id].snapshot();
-            let sensed = snap.counter_total(tn::SOURCE_SENSED);
-            let played = snap.counter_total(tn::SINK_PLAYED);
-            let stale = snap.counter_total(tn::SINK_STALE);
-            let shed_source = snap.counter_total(tn::SOURCE_SHED);
-            let shed_queue = snap.counter_total(tn::EXEC_SHED_IN_QUEUE);
-            let lost = snap.counter_total(tn::EXEC_LOST);
+            charge(&mut wall.finish);
+            // The member's registry is walked once: its status row is
+            // read by name, then its series fold into the rollup — in
+            // shard order, which makes the JSON below the byte-identity
+            // artifact.
+            let registry = telemetry.registry();
+            let sensed = registry.counter_total(tn::SOURCE_SENSED);
+            let played = registry.counter_total(tn::SINK_PLAYED);
+            let stale = registry.counter_total(tn::SINK_STALE);
+            let shed_source = registry.counter_total(tn::SOURCE_SHED);
+            let shed_queue = registry.counter_total(tn::EXEC_SHED_IN_QUEUE);
+            let lost = registry.counter_total(tn::EXEC_LOST);
             swarms.push(SwarmStatus {
                 id,
                 epoch,
@@ -445,19 +466,19 @@ impl Federation {
                 lost,
                 gateway_egress: gw_egress,
                 gateway_ingress: gw_ingress,
-                p99_e2e_us: snap.histogram_total(tn::SINK_E2E_LATENCY_US).p99(),
+                p99_e2e_us: registry.histogram_total(tn::SINK_E2E_LATENCY_US).p99(),
                 conserved: lost == 0
                     && sensed == (played + stale) + shed_source + shed_queue + lost,
             });
-        }
-        // Roll up in shard order — merge_from is exact and
-        // order-deterministic, so this JSON is the byte-identity
-        // artifact.
-        let mut federated = self.telemetry[0].snapshot();
-        for t in &self.telemetry[1..] {
-            federated.merge_from(&t.snapshot());
+            charge(&mut wall.status);
+            registry.merge_into(&mut federated);
+            charge(&mut wall.rollup);
+            // The swarm is gone: this was the last handle to its domain.
+            drop(telemetry);
+            charge(&mut wall.teardown);
         }
         let federated_json = to_json(&federated);
+        charge(&mut wall.export);
         FederationReport {
             swarms,
             windows: engine.windows,
@@ -467,6 +488,7 @@ impl Federation {
             acked,
             federated_json,
             federated,
+            wall,
         }
     }
 }

@@ -48,6 +48,33 @@ fn federated_run_is_byte_identical_across_thread_counts() {
     }
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The rollup document itself is pinned, not only its agreement across
+/// thread counts: the hash was computed at the commit before the
+/// registry fold replaced snapshot-and-merge (sparse histograms,
+/// on-demand dedup windows, index-addressed fabric), so a change to what
+/// is exported — a series, a bucket, a float's last digit, key order —
+/// fails here.
+#[test]
+fn federated_rollup_matches_the_pinned_document() {
+    for threads in [1usize, 4] {
+        let mut cfg = small_config(7);
+        cfg.threads = threads;
+        let report = Federation::build(cfg).expect("federation builds").run();
+        assert_eq!(
+            fnv1a(report.federated_json.as_bytes()),
+            0xe13b_c1da_f23b_768c,
+            "federated rollup moved at {threads} threads ({} bytes)",
+            report.federated_json.len()
+        );
+    }
+}
+
 #[test]
 fn every_member_conserves_and_gateways_flow() {
     let report = Federation::build(small_config(7))

@@ -3,14 +3,19 @@
 //!
 //! Values (typically microseconds) are binned HDR-style: 32 linear
 //! sub-buckets per power-of-two range, so every bucket's width is at
-//! most 1/32 ≈ 3.1% of its lower bound. Recording is three relaxed
-//! atomic adds plus a min/max update — no locks, no allocation — which
+//! most 1/32 ≈ 3.1% of its lower bound. Bucket storage is sparse: an
+//! octave's 32 cells (one 256 B block) are allocated when the first
+//! value lands in it, so a histogram costs what it has seen — a latency
+//! series spans a handful of octaves, a never-recorded one none.
+//! Recording is two relaxed atomic adds plus a min/max update; after an
+//! octave's first touch it takes no lock and allocates nothing, which
 //! keeps it safe for the per-tuple dispatch path. Snapshots are sparse
 //! (populated buckets only), exactly mergeable (bucket-wise addition,
 //! so merge order never changes the result), and cheap to serialize.
 
+use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Linear sub-buckets per power-of-two range.
 const SUB_BUCKETS: u64 = 32;
@@ -19,7 +24,9 @@ const SUB_SHIFT: u32 = 5;
 /// Total bucket count covering all of `u64`:
 /// 32 unit-width buckets for values `< 32`, then 32 buckets for each of
 /// the 59 remaining octaves `[2^k, 2^(k+1))`, `k = 5..=63`.
-const BUCKETS: usize = (SUB_BUCKETS as usize) * 60;
+const BUCKETS: usize = (SUB_BUCKETS as usize) * OCTAVES;
+/// Blocks of [`SUB_BUCKETS`] cells: the unit-width range plus 59 octaves.
+const OCTAVES: usize = 60;
 
 /// Bucket index for a recorded value.
 #[inline]
@@ -63,8 +70,12 @@ fn bucket_mid(index: usize) -> u64 {
     low + (bucket_high(index) - low) / 2
 }
 
+/// The cells of one octave, allocated on its first recorded value.
+type Block = Box<[AtomicU64; SUB_BUCKETS as usize]>;
+
 struct HistCore {
-    buckets: Box<[AtomicU64]>,
+    /// Block `b` holds buckets `32 b .. 32 b + 32`.
+    blocks: [OnceLock<Block>; OCTAVES],
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -97,7 +108,7 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             core: Arc::new(HistCore {
-                buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+                blocks: [const { OnceLock::new() }; OCTAVES],
                 sum: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
                 max: AtomicU64::new(0),
@@ -105,16 +116,22 @@ impl Histogram {
         }
     }
 
-    /// Record one value. Lock-free and allocation-free: two atomic adds
-    /// in the steady state. The recorded count is carried by the bucket
-    /// cells themselves, and min/max take the RMW only when the racy
-    /// early-out says the extreme actually moved — min only ever
-    /// decreases, so observing `v >= min` proves no update is needed
-    /// (and symmetrically for max).
+    /// Record one value: two atomic adds in the steady state, no lock
+    /// and no allocation once the value's octave has been touched (its
+    /// first value allocates the octave's block; threads racing for
+    /// that first touch wait for the one allocation and then all count).
+    /// The recorded count is carried by the bucket cells themselves,
+    /// and min/max take the RMW only when the racy early-out says the
+    /// extreme actually moved — min only ever decreases, so observing
+    /// `v >= min` proves no update is needed (and symmetrically for
+    /// max).
     #[inline]
     pub fn record(&self, v: u64) {
         let c = &self.core;
-        c.buckets[bucket_index(v)].fetch_add(1, Relaxed);
+        let index = bucket_index(v);
+        let block = c.blocks[index / SUB_BUCKETS as usize]
+            .get_or_init(|| Box::new([const { AtomicU64::new(0) }; SUB_BUCKETS as usize]));
+        block[index % SUB_BUCKETS as usize].fetch_add(1, Relaxed);
         c.sum.fetch_add(v, Relaxed);
         if v < c.min.load(Relaxed) {
             c.min.fetch_min(v, Relaxed);
@@ -130,10 +147,21 @@ impl Histogram {
         self.record(d.as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
-    /// Number of recorded values (one pass over the bucket cells).
+    /// `(bucket index, count)` of every allocated cell, ascending.
+    fn cells(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let blocks = self.core.blocks.iter().enumerate();
+        blocks
+            .filter_map(|(b, block)| Some((b, block.get()?)))
+            .flat_map(|(b, block)| {
+                let cells = block.iter().enumerate();
+                cells.map(move |(i, cell)| (b * SUB_BUCKETS as usize + i, cell.load(Relaxed)))
+            })
+    }
+
+    /// Number of recorded values (one pass over the touched octaves).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.core.buckets.iter().map(|b| b.load(Relaxed)).sum()
+        self.cells().map(|(_, n)| n).sum()
     }
 
     /// Capture a snapshot. Concurrent `record`s may or may not be
@@ -146,8 +174,7 @@ impl Histogram {
         let c = &self.core;
         let mut buckets = Vec::new();
         let mut count = 0u64;
-        for (i, b) in c.buckets.iter().enumerate() {
-            let n = b.load(Relaxed);
+        for (i, n) in self.cells() {
             if n > 0 {
                 buckets.push((i as u32, n));
                 count += n;
@@ -159,6 +186,44 @@ impl Histogram {
             min: c.min.load(Relaxed),
             max: c.max.load(Relaxed),
             buckets,
+        }
+    }
+}
+
+/// Fold the entries of `from` into `into`, which is sorted by key and
+/// stays so: an entry whose key `into` holds is `combine`d in place, any
+/// other is inserted (`fresh`), its key cloned only then. A cursor walks
+/// `into` in lock-step with `from`, so an ascending `from` costs one key
+/// comparison per entry that `into` already holds — no search, insertion
+/// or clone when it holds them all, as when the members of a federation
+/// report the same series. `from` need not be sorted: an entry the
+/// cursor cannot place is placed by binary search.
+pub(crate) fn merge_sorted<'a, K: Ord + Clone + 'a, V, S>(
+    into: &mut Vec<(K, V)>,
+    from: impl IntoIterator<Item = (&'a K, S)>,
+    mut combine: impl FnMut(&mut V, S),
+    mut fresh: impl FnMut(S) -> V,
+) {
+    let mut at = 0;
+    for (key, value) in from {
+        let place = loop {
+            match into.get(at).map(|(k, _)| k.cmp(key)) {
+                Some(Ordering::Less) => at += 1,
+                Some(Ordering::Equal) => break Ok(at),
+                // `key` falls between the cursor's neighbours: new.
+                _ if at == 0 || into[at - 1].0 < *key => break Err(at),
+                _ => break into.binary_search_by(|(k, _)| k.cmp(key)),
+            }
+        };
+        match place {
+            Ok(held) => {
+                combine(&mut into[held].1, value);
+                at = held + 1;
+            }
+            Err(gap) => {
+                into.insert(gap, (key.clone(), fresh(value)));
+                at = gap + 1;
+            }
         }
     }
 }
@@ -179,6 +244,16 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The snapshot of a histogram nothing was recorded into — what a
+    /// merge of several starts from (`min` is the identity of `min`,
+    /// which `Default`'s zero is not).
+    pub(crate) fn empty() -> Self {
+        HistogramSnapshot {
+            min: u64::MAX,
+            ..HistogramSnapshot::default()
+        }
+    }
+
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -259,38 +334,12 @@ impl HistogramSnapshot {
         self.sum = self.sum.wrapping_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
+        merge_sorted(
+            &mut self.buckets,
+            other.buckets.iter().map(|(i, n)| (i, *n)),
+            |a, b| *a = a.wrapping_add(b),
+            |b| b,
         );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, na)), Some(&&(ib, nb))) => {
-                    if ia == ib {
-                        merged.push((ia, na.wrapping_add(nb)));
-                        a.next();
-                        b.next();
-                    } else if ia < ib {
-                        merged.push((ia, na));
-                        a.next();
-                    } else {
-                        merged.push((ib, nb));
-                        b.next();
-                    }
-                }
-                (Some(&&pair), None) => {
-                    merged.push(pair);
-                    a.next();
-                }
-                (None, Some(&&pair)) => {
-                    merged.push(pair);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
     }
 }
 
@@ -355,5 +404,158 @@ mod tests {
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0);
+    }
+
+    fn blocks_held(h: &Histogram) -> usize {
+        h.core.blocks.iter().filter(|b| b.get().is_some()).count()
+    }
+
+    #[test]
+    fn a_never_recorded_histogram_holds_no_block() {
+        let h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().buckets, vec![]);
+        assert_eq!(blocks_held(&h), 0, "reading must not allocate either");
+        // One value: one octave's block, whatever else is never seen.
+        h.record(1_000);
+        assert_eq!(blocks_held(&h), 1);
+    }
+
+    /// The dense layout the sparse one replaced: every bucket a cell.
+    struct Dense {
+        buckets: [u64; BUCKETS],
+        sum: u64,
+        min: u64,
+        max: u64,
+    }
+
+    impl Dense {
+        fn record(&mut self, v: u64) {
+            self.buckets[bucket_index(v)] += 1;
+            self.sum = self.sum.wrapping_add(v);
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+
+        fn snapshot(&self) -> HistogramSnapshot {
+            let cells = self.buckets.iter().enumerate();
+            HistogramSnapshot {
+                count: self.buckets.iter().sum(),
+                sum: self.sum,
+                min: self.min,
+                max: self.max,
+                buckets: cells
+                    .filter(|(_, &n)| n > 0)
+                    .map(|(i, &n)| (i as u32, n))
+                    .collect(),
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_storage_equals_the_dense_reference() {
+        let mut dense = Dense {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        };
+        let sparse = Histogram::new();
+        // Block boundaries first: the unit range, every octave's first
+        // and last value, the extremes.
+        let mut values = vec![0, 1, 31, 32, 33, 63, 64, u64::MAX - 1, u64::MAX];
+        for exp in 5..64u32 {
+            values.extend([(1u64 << exp) - 1, 1 << exp, (1 << exp) + 1]);
+        }
+        // Then seeded values of every magnitude (xorshift64*, shifted
+        // right by a varying amount), 10 000 in all.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        while values.len() < 10_000 {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            values.push(r >> (r % 64));
+        }
+        for &v in &values {
+            dense.record(v);
+            sparse.record(v);
+        }
+        let (want, got) = (dense.snapshot(), sparse.snapshot());
+        assert_eq!(got, want, "buckets, count, sum, min, max");
+        assert_eq!(sparse.count(), 10_000);
+        for q in [0.5, 0.95, 0.99] {
+            assert_eq!(got.quantile(q), want.quantile(q));
+        }
+        // Storage followed the values: a block per touched octave only.
+        let touched: std::collections::BTreeSet<u32> = want
+            .buckets
+            .iter()
+            .map(|&(i, _)| i / SUB_BUCKETS as u32)
+            .collect();
+        assert_eq!(blocks_held(&sparse), touched.len());
+    }
+
+    #[test]
+    fn concurrent_first_touch_of_an_octave_loses_no_count() {
+        const THREADS: u64 = 4;
+        const EACH: u64 = 5_000;
+        // Fresh histograms, so the threads race for the allocation of
+        // the block itself; repeated because one race is over in a
+        // microsecond.
+        for round in 0..50u64 {
+            let h = Histogram::new();
+            let start = std::sync::Barrier::new(THREADS as usize);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (h, start) = (&h, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..EACH {
+                            // All in octave [1024, 2048): one block.
+                            h.record(1_024 + (t * EACH + i + round) % 1_024);
+                        }
+                    });
+                }
+            });
+            assert_eq!(h.count(), THREADS * EACH, "round {round}");
+            assert_eq!(h.snapshot().count, THREADS * EACH);
+            assert_eq!(blocks_held(&h), 1);
+        }
+    }
+
+    #[test]
+    fn merge_sorted_places_entries_in_any_order() {
+        let sum = |into: &mut Vec<(u32, u64)>, from: &[(u32, u64)]| {
+            merge_sorted(
+                into,
+                from.iter().map(|(k, v)| (k, *v)),
+                |a, b| *a += b,
+                |b| b,
+            );
+        };
+        let mut into = vec![(2, 1), (4, 1), (6, 1)];
+        sum(&mut into, &[(2, 10), (4, 10), (6, 10)]); // equal
+        assert_eq!(into, [(2, 11), (4, 11), (6, 11)]);
+        sum(&mut into, &[(4, 100)]); // subset
+        sum(&mut into, &[(1, 5), (3, 5), (7, 5)]); // interleaved, new
+        assert_eq!(into, [(1, 5), (2, 11), (3, 5), (4, 111), (6, 11), (7, 5)]);
+        sum(&mut into, &[(7, 1), (0, 1), (4, 1), (5, 1), (1, 1)]); // out of order
+        assert_eq!(
+            into,
+            [
+                (0, 1),
+                (1, 6),
+                (2, 11),
+                (3, 5),
+                (4, 112),
+                (5, 1),
+                (6, 11),
+                (7, 6)
+            ]
+        );
+        let mut empty = Vec::new();
+        sum(&mut empty, &[(9, 9), (3, 3)]);
+        assert_eq!(empty, [(3, 3), (9, 9)]);
     }
 }

@@ -14,7 +14,7 @@
 //! snapshot observes — successive snapshots never show a counter
 //! decreasing, even while the swarm is running.
 
-use crate::hist::{Histogram, HistogramSnapshot};
+use crate::hist::{merge_sorted, Histogram, HistogramSnapshot};
 use crate::metric::{Counter, Gauge};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -144,6 +144,57 @@ impl Registry {
                 .collect(),
         }
     }
+
+    /// Sum of the live counters with this name, across label sets —
+    /// [`Snapshot::counter_total`] without the snapshot.
+    #[must_use]
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let inner = self.inner.lock().expect("registry poisoned");
+        let named = inner.counters.range(MetricKey::new(name, &[])..);
+        named
+            .take_while(|(k, _)| k.name == name)
+            .map(|(_, c)| c.get())
+            .sum()
+    }
+
+    /// Merge of the live histograms with this name, across label sets —
+    /// [`Snapshot::histogram_total`] without the snapshot.
+    #[must_use]
+    pub fn histogram_total(&self, name: &str) -> HistogramSnapshot {
+        let inner = self.inner.lock().expect("registry poisoned");
+        let mut out = HistogramSnapshot::empty();
+        let named = inner.histograms.range(MetricKey::new(name, &[])..);
+        for (_, h) in named.take_while(|(k, _)| k.name == name) {
+            out.merge(&h.snapshot());
+        }
+        out
+    }
+
+    /// Fold the current value of every metric into `rollup`, exactly as
+    /// `rollup.merge_from(&self.snapshot())` would, without building
+    /// the snapshot: one pass over the registry, a key cloned only when
+    /// `rollup` has not seen it.
+    pub fn merge_into(&self, rollup: &mut Snapshot) {
+        let inner = self.inner.lock().expect("registry poisoned");
+        merge_sorted(
+            &mut rollup.counters,
+            inner.counters.iter().map(|(k, c)| (k, c.get())),
+            |a, b| *a = a.wrapping_add(b),
+            |b| b,
+        );
+        merge_sorted(
+            &mut rollup.gauges,
+            inner.gauges.iter().map(|(k, g)| (k, g.get())),
+            |a, b| *a += b,
+            |b| b,
+        );
+        merge_sorted(
+            &mut rollup.histograms,
+            inner.histograms.iter(),
+            |a, h| a.merge(&h.snapshot()),
+            Histogram::snapshot,
+        );
+    }
 }
 
 /// One consistent view of a [`Registry`], sorted by metric key.
@@ -230,34 +281,34 @@ impl Snapshot {
     /// Keys unique to `other` are inserted. Sorted key order — and with
     /// it byte-identical JSON export — is preserved, so merging the
     /// same shard snapshots in the same order always yields the same
-    /// document regardless of how many threads produced them.
+    /// document regardless of how many threads produced them. The two
+    /// are walked in lock-step: shards that report the same series (the
+    /// federation's case) merge in one pass with no key cloned.
     pub fn merge_from(&mut self, other: &Snapshot) {
-        fn merge_sorted<V: Clone>(
-            into: &mut Vec<(MetricKey, V)>,
-            from: &[(MetricKey, V)],
-            combine: impl Fn(&mut V, &V),
-        ) {
-            for (k, v) in from {
-                match into.binary_search_by(|(ik, _)| ik.cmp(k)) {
-                    Ok(i) => combine(&mut into[i].1, v),
-                    Err(i) => into.insert(i, (k.clone(), v.clone())),
-                }
-            }
-        }
-        merge_sorted(&mut self.counters, &other.counters, |a, b| {
-            *a = a.wrapping_add(*b);
-        });
-        merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a += *b);
-        merge_sorted(&mut self.histograms, &other.histograms, |a, b| a.merge(b));
+        merge_sorted(
+            &mut self.counters,
+            other.counters.iter().map(|(k, v)| (k, *v)),
+            |a, b| *a = a.wrapping_add(b),
+            |b| b,
+        );
+        merge_sorted(
+            &mut self.gauges,
+            other.gauges.iter().map(|(k, v)| (k, *v)),
+            |a, b| *a += b,
+            |b| b,
+        );
+        merge_sorted(
+            &mut self.histograms,
+            other.histograms.iter().map(|(k, h)| (k, h)),
+            |a, b| a.merge(b),
+            HistogramSnapshot::clone,
+        );
     }
 
     /// Merge of all histograms with this name across label sets.
     #[must_use]
     pub fn histogram_total(&self, name: &str) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot {
-            min: u64::MAX,
-            ..HistogramSnapshot::default()
-        };
+        let mut out = HistogramSnapshot::empty();
         for (k, h) in &self.histograms {
             if k.name == name {
                 out.merge(h);
@@ -358,6 +409,109 @@ mod tests {
         let mut outer = s1;
         outer.merge_from(&right);
         assert_eq!(left, outer);
+    }
+
+    /// The merge this crate shipped before the lock-step one: a binary
+    /// search of `into` per key of `from`. Kept as the reference.
+    fn merge_from_by_search(into: &mut Snapshot, other: &Snapshot) {
+        fn merge<V: Clone>(
+            into: &mut Vec<(MetricKey, V)>,
+            from: &[(MetricKey, V)],
+            combine: impl Fn(&mut V, &V),
+        ) {
+            for (k, v) in from {
+                match into.binary_search_by(|(ik, _)| ik.cmp(k)) {
+                    Ok(i) => combine(&mut into[i].1, v),
+                    Err(i) => into.insert(i, (k.clone(), v.clone())),
+                }
+            }
+        }
+        merge(&mut into.counters, &other.counters, |a, b| {
+            *a = a.wrapping_add(*b);
+        });
+        merge(&mut into.gauges, &other.gauges, |a, b| *a += *b);
+        merge(&mut into.histograms, &other.histograms, |a, b| a.merge(b));
+    }
+
+    /// A registry holding the series `ids` of each kind, with values
+    /// that differ per series and per `salt`.
+    fn registry_of(ids: &[u32], salt: u64) -> Registry {
+        let r = Registry::new();
+        for &id in ids {
+            let unit = id.to_string();
+            let labels: &[(&str, &str)] = &[("unit", &unit)];
+            r.counter("c", labels).add(u64::from(id) + salt);
+            r.gauge("g", labels).set(f64::from(id) * 0.1 + salt as f64);
+            let h = r.histogram("h", labels);
+            h.record(u64::from(id) * 37 + salt);
+            h.record(salt << (id % 40));
+        }
+        // One series with no labels and one never-recorded histogram.
+        r.counter("c", &[]).add(salt);
+        let _ = r.histogram("idle", &[]);
+        r
+    }
+
+    #[test]
+    fn lock_step_merge_equals_the_binary_search_merge() {
+        let cases: [(&str, &[u32], &[u32]); 6] = [
+            ("equal", &[1, 2, 3, 10, 20], &[1, 2, 3, 10, 20]),
+            ("subset", &[1, 2, 3, 10, 20], &[2, 10]),
+            ("superset", &[2, 10], &[1, 2, 3, 10, 20]),
+            ("disjoint", &[1, 3, 5], &[2, 4, 6]),
+            ("interleaved", &[1, 4, 7, 30], &[0, 4, 5, 9, 30, 31]),
+            ("into empty", &[], &[3, 1, 2]),
+        ];
+        for (name, ours, theirs) in cases {
+            let (a, b) = (registry_of(ours, 1), registry_of(theirs, 1000));
+            let mut want = a.snapshot();
+            merge_from_by_search(&mut want, &b.snapshot());
+
+            let mut merged = a.snapshot();
+            merged.merge_from(&b.snapshot());
+            assert_eq!(merged, want, "{name}: merge_from");
+
+            // Folding the live registry is the same merge.
+            let mut folded = a.snapshot();
+            b.merge_into(&mut folded);
+            assert_eq!(folded, want, "{name}: merge_into");
+        }
+        // From nothing, a fold is a snapshot.
+        let r = registry_of(&[5, 6], 7);
+        let mut folded = Snapshot::default();
+        r.merge_into(&mut folded);
+        assert_eq!(folded, r.snapshot());
+    }
+
+    #[test]
+    fn an_unsorted_snapshot_still_merges_by_key() {
+        // `from_json` keeps document order; a hand-edited document may
+        // not be sorted.
+        let mut other = registry_of(&[1, 2, 3], 5).snapshot();
+        other.counters.reverse();
+        other.histograms.swap(0, 2);
+        let mut want = registry_of(&[2, 9], 1).snapshot();
+        let mut merged = want.clone();
+        merge_from_by_search(&mut want, &other);
+        merged.merge_from(&other);
+        assert_eq!(merged, want);
+    }
+
+    #[test]
+    fn live_totals_match_the_snapshot_totals() {
+        let r = registry_of(&[1, 2, 3, 40], 9);
+        r.counter("c2", &[("unit", "1")]).add(1_000_000); // a neighbour in key order
+        let snap = r.snapshot();
+        for name in ["c", "c2", "absent"] {
+            assert_eq!(r.counter_total(name), snap.counter_total(name), "{name}");
+        }
+        for name in ["h", "idle", "absent"] {
+            assert_eq!(
+                r.histogram_total(name),
+                snap.histogram_total(name),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -48,10 +48,26 @@ fn main() {
          {seconds}s virtual @ seed {seed}, {threads} threads"
     );
 
+    let wall = Instant::now();
     let fed = Federation::build(config).expect("federation builds");
+    let build = wall.elapsed();
     let wall = Instant::now();
     let report = fed.run();
     let wall_ms = wall.elapsed().as_millis();
+    // One evaluation, phase by phase (DESIGN.md section 5 tabulates this line).
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let w = report.wall;
+    eprintln!(
+        "phases_ms: build={:.1} event_loop={:.1} finish={:.1} member_reads={:.1} \
+         rollup={:.1} teardown={:.1} export={:.1}",
+        ms(build),
+        ms(w.engine),
+        ms(w.finish),
+        ms(w.status),
+        ms(w.rollup),
+        ms(w.teardown),
+        ms(w.export)
+    );
 
     let sensed = report.federated_counter("swing_source_sensed_total");
     let played = report.federated_counter("swing_sink_played_total");
