@@ -547,6 +547,18 @@ impl Deployment {
         self.instances.insert(unit, (stage, device));
     }
 
+    /// The id the next placement gets.
+    #[must_use]
+    pub fn next_unit(&self) -> UnitId {
+        UnitId(self.next_unit)
+    }
+
+    /// Never hand out an id below `next` (master recovery: the ids of
+    /// units that died before the checkpoint stay retired too).
+    pub fn retire_below(&mut self, next: UnitId) {
+        self.next_unit = self.next_unit.max(next.0);
+    }
+
     /// The stage a unit instantiates.
     pub fn stage_of(&self, unit: UnitId) -> Result<StageId> {
         self.instances

@@ -109,6 +109,10 @@ pub struct MasterCheckpoint {
     pub epoch: u64,
     /// Next device id to assign, so rejoiners never reuse a dead id.
     pub next_device: u32,
+    /// Next unit id to assign, so re-placements never reuse a dead
+    /// unit's (0 in a record written before this was kept: only the ids
+    /// of the units still placed are retired then).
+    pub next_unit: u32,
     /// Whether Start had been broadcast.
     pub started: bool,
     /// Roster: (device, dialable address, human name).
@@ -134,6 +138,7 @@ impl MasterCheckpoint {
         );
         let _ = writeln!(out, "epoch {}", self.epoch);
         let _ = writeln!(out, "next-device {}", self.next_device);
+        let _ = writeln!(out, "next-unit {}", self.next_unit);
         let _ = writeln!(out, "started {}", u8::from(self.started));
         for (d, addr, name) in &self.workers {
             let _ = writeln!(out, "worker {} {} {}", d.0, addr, name);
@@ -165,6 +170,7 @@ impl MasterCheckpoint {
                 }
                 "epoch" => ck.epoch = parse_num(rest, "epoch")?,
                 "next-device" => ck.next_device = parse_num(rest, "next-device")?,
+                "next-unit" => ck.next_unit = parse_num(rest, "next-unit")?,
                 "started" => ck.started = parse_num::<u8>(rest, "started")? != 0,
                 "worker" => {
                     let mut it = rest.splitn(3, ' ');
@@ -222,6 +228,7 @@ mod tests {
             n_edges: 2,
             epoch: 7,
             next_device: 4,
+            next_unit: 9,
             started: true,
             workers: vec![
                 (DeviceId(0), "inproc-1".into(), "A".into()),
@@ -239,6 +246,14 @@ mod tests {
         let ck = sample();
         let decoded = MasterCheckpoint::decode(&ck.encode()).unwrap();
         assert_eq!(decoded, ck);
+    }
+
+    #[test]
+    fn a_record_written_before_next_unit_was_kept_still_decodes() {
+        let old = String::from_utf8(sample().encode()).unwrap();
+        let old = old.replace("next-unit 9\n", "");
+        let decoded = MasterCheckpoint::decode(old.as_bytes()).unwrap();
+        assert_eq!((decoded.next_unit, decoded.next_device), (0, 4));
     }
 
     #[test]

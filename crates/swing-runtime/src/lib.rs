@@ -28,6 +28,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod clock;
 pub mod config;
+mod control;
 pub mod dispatch;
 pub mod executor;
 pub mod fabric;

@@ -7,9 +7,10 @@
 //! bootstrapping connections and sending start/stop commands."
 
 use crate::checkpoint::{MasterCheckpoint, StoreHandle};
+use crate::control::{Command, ControlPlane};
 use crate::fabric::{Fabric, MsgSender};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -151,20 +152,13 @@ impl std::fmt::Debug for MasterConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct WorkerInfo {
-    device: DeviceId,
-    #[allow(dead_code)]
-    name: String,
-    addr: String,
-}
-
 /// Shared view of the master's progress.
 #[derive(Debug, Default)]
 pub struct MasterStatus {
     // std, not parking_lot: the pair must come with a condvar.
-    started: std::sync::Mutex<bool>,
-    started_changed: std::sync::Condvar,
+    /// `(started, workers admitted so far)`.
+    progress: std::sync::Mutex<(bool, usize)>,
+    progress_changed: std::sync::Condvar,
     deployment: Mutex<Deployment>,
     epoch: AtomicU64,
     dead_workers: Mutex<Vec<String>>,
@@ -175,28 +169,38 @@ impl MasterStatus {
     /// Whether Start has been broadcast.
     #[must_use]
     pub fn started(&self) -> bool {
-        *self.started_flag()
+        self.progress().0
     }
 
     /// Block until Start has been broadcast, for at most `timeout`.
     /// Returns whether it has.
     #[must_use]
     pub fn wait_started(&self, timeout: Duration) -> bool {
-        let (started, _) = self
-            .started_changed
-            .wait_timeout_while(self.started_flag(), timeout, |started| !*started)
+        self.wait(timeout, |p| p.0).0
+    }
+
+    /// Block until the master has admitted `n` workers, for at most
+    /// `timeout`. Returns whether it has.
+    pub(crate) fn wait_admitted(&self, n: usize, timeout: Duration) -> bool {
+        self.wait(timeout, |p| p.1 >= n).1 >= n
+    }
+
+    fn wait(&self, timeout: Duration, done: impl Fn(&(bool, usize)) -> bool) -> (bool, usize) {
+        let (progress, _) = self
+            .progress_changed
+            .wait_timeout_while(self.progress(), timeout, |p| !done(p))
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *started
+        *progress
     }
 
-    fn set_started(&self, started: bool) {
-        *self.started_flag() = started;
-        self.started_changed.notify_all();
+    fn set_progress(&self, started: bool, admitted: usize) {
+        *self.progress() = (started, admitted);
+        self.progress_changed.notify_all();
     }
 
-    fn started_flag(&self) -> std::sync::MutexGuard<'_, bool> {
-        // A bool is valid whatever a panicking holder was doing.
-        self.started
+    fn progress(&self) -> std::sync::MutexGuard<'_, (bool, usize)> {
+        // The pair is valid whatever a panicking holder was doing.
+        self.progress
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -257,26 +261,25 @@ impl Master {
             h.validate()
                 .map_err(|e| swing_core::Error::Malformed(format!("invalid heartbeat: {e}")))?;
         }
-        // A readable checkpoint that belongs to a *different* application
-        // is a deployment mistake, not a cold start — refuse loudly
-        // instead of silently ignoring the recorded state.
-        if let Some(store) = &config.checkpoint {
-            if let Some(bytes) = store.load() {
-                if let Ok(ck) = MasterCheckpoint::decode(&bytes) {
-                    if ck.graph_name != graph.name()
-                        || ck.n_stages != graph.stages().count()
-                        || ck.n_edges != graph.edges().len()
-                    {
-                        return Err(swing_core::Error::Malformed(format!(
-                            "checkpoint records app '{}' ({} stages, {} edges), \
-                             refusing to recover '{}'",
-                            ck.graph_name,
-                            ck.n_stages,
-                            ck.n_edges,
-                            graph.name()
-                        )));
-                    }
-                }
+        // Load, decode and shape-check the checkpoint once, here. An
+        // unreadable record is untrusted: cold-start. A readable one that
+        // belongs to a *different* application is a deployment mistake,
+        // not a cold start — refuse loudly instead of ignoring it.
+        let stored = config.checkpoint.as_ref().and_then(|store| store.load());
+        let checkpoint = stored.and_then(|bytes| MasterCheckpoint::decode(&bytes).ok());
+        if let Some(ck) = &checkpoint {
+            if ck.graph_name != graph.name()
+                || ck.n_stages != graph.stage_count()
+                || ck.n_edges != graph.edges().len()
+            {
+                return Err(swing_core::Error::Malformed(format!(
+                    "checkpoint records app '{}' ({} stages, {} edges), \
+                     refusing to recover '{}'",
+                    ck.graph_name,
+                    ck.n_stages,
+                    ck.n_edges,
+                    graph.name()
+                )));
             }
         }
         let (addr, inbox) = fabric.listen()?;
@@ -290,32 +293,24 @@ impl Master {
             .name("swing-master".into())
             .spawn(move || {
                 let heartbeat = config.heartbeat;
-                let clock = config.clock.clone();
                 let mut state = MasterState {
-                    graph,
+                    plane: ControlPlane::new(graph, config.placement, config.expected_workers),
+                    last_ping_us: config.clock.now_us(),
                     config,
                     fabric,
                     addr: my_addr,
-                    workers: Vec::new(),
-                    senders: HashMap::new(),
-                    deployment: Deployment::new(),
-                    next_device: 0,
-                    started: false,
-                    epoch: 0,
+                    peers: BTreeMap::new(),
                     status: status2,
-                    last_pong: HashMap::new(),
-                    last_ping_us: clock.now_us(),
-                    recovering: HashMap::new(),
-                    recovery_deadline_us: None,
                 };
-                state.try_recover();
                 // Without heartbeats the loop normally parks on the inbox;
-                // an in-progress recovery still needs periodic wakeups so
-                // the re-announce grace deadline can fire.
-                let idle = if state.recovery_deadline_us.is_some() {
-                    Duration::from_millis(25)
-                } else {
-                    Duration::from_secs(3600)
+                // a recovery still needs periodic wakeups so the
+                // re-announce grace deadline can fire.
+                let idle = match checkpoint {
+                    Some(ck) => {
+                        state.recover(ck);
+                        Duration::from_millis(25)
+                    }
+                    None => Duration::from_secs(3600),
                 };
                 let tick = heartbeat
                     .map(|h| h.interval.min(h.timeout) / 2)
@@ -480,29 +475,28 @@ impl Drop for RegistryAttachment {
     }
 }
 
+/// The master thread's I/O shell around the [`ControlPlane`]: the
+/// inbox, the dialed peers, liveness timing, the checkpoint store and
+/// the shared status. Every decision is the plane's; this turns its
+/// commands into wire messages.
 struct MasterState {
-    graph: AppGraph,
+    plane: ControlPlane,
     config: MasterConfig,
     fabric: Fabric,
     /// The master's own dialable address (sent in `MasterHello`).
     addr: String,
-    workers: Vec<WorkerInfo>,
-    senders: HashMap<DeviceId, MsgSender>,
-    deployment: Deployment,
-    next_device: u32,
-    started: bool,
-    /// Deployment epoch: bumped before every topology-changing wave and
-    /// stamped into Activate/Connect/Disconnect so fenced-out workers
-    /// (pruned but still alive) ignore stale control traffic.
-    epoch: u64,
+    peers: BTreeMap<DeviceId, Peer>,
     status: Arc<MasterStatus>,
-    /// Last liveness reply per device (heartbeat mode), clock micros.
-    last_pong: HashMap<DeviceId, u64>,
     last_ping_us: u64,
-    /// Checkpointed workers we are waiting to re-announce after recovery.
-    recovering: HashMap<DeviceId, WorkerInfo>,
-    /// When the re-announce grace period ends (clock micros).
-    recovery_deadline_us: Option<u64>,
+}
+
+/// What the shell keeps per roster member.
+struct Peer {
+    addr: String,
+    /// `None` for a checkpointed worker that has not re-announced.
+    sender: Option<MsgSender>,
+    /// Last liveness reply (heartbeat mode), clock micros.
+    last_pong_us: u64,
 }
 
 impl MasterState {
@@ -510,23 +504,19 @@ impl MasterState {
         match msg {
             Message::Join {
                 name, listen_addr, ..
-            } => {
-                self.on_join(name, listen_addr);
-            }
+            } => self.on_join(name, listen_addr),
             Message::Announce {
                 device,
                 name,
                 listen_addr,
                 units,
                 ..
-            } => {
-                self.on_announce(device, name, listen_addr, units);
-            }
-            Message::Leave { device } => {
-                self.remove_worker(device);
-            }
+            } => self.on_announce(device, name, listen_addr, &units),
+            Message::Leave { device } => self.remove_worker(device),
             Message::Pong { device } => {
-                self.last_pong.insert(device, self.config.clock.now_us());
+                if let Some(p) = self.peers.get_mut(&device) {
+                    p.last_pong_us = self.config.clock.now_us();
+                }
             }
             // Registry lease of a worker lapsed (its heartbeats
             // stopped): evict it exactly like a heartbeat prune —
@@ -534,12 +524,8 @@ impl MasterState {
             // pattern already narrowed app and role, but a master
             // sharing its inbox with other traffic re-checks role.
             Message::ServiceExpired { role, addr, .. } if role == "worker" => {
-                let dead: Option<DeviceId> = self
-                    .workers
-                    .iter()
-                    .find(|w| w.addr == addr)
-                    .map(|w| w.device);
-                if let Some(device) = dead {
+                let dead = self.peers.iter().find(|(_, p)| p.addr == addr);
+                if let Some((&device, _)) = dead {
                     self.remove_worker(device);
                 }
             }
@@ -552,416 +538,202 @@ impl MasterState {
     /// Periodic work between inbox messages: heartbeat probing/pruning
     /// and the recovery re-announce deadline.
     fn on_tick(&mut self, heartbeat: Option<HeartbeatConfig>) {
+        let now = self.config.clock.now_us();
         if let Some(h) = heartbeat {
-            let now = self.config.clock.now_us();
             if now.saturating_sub(self.last_ping_us) >= h.interval.as_micros() as u64 {
                 self.broadcast(&Message::Ping);
                 self.last_ping_us = now;
             }
-            self.prune_silent(h.timeout);
-        }
-        if let Some(deadline) = self.recovery_deadline_us {
-            if self.config.clock.now_us() >= deadline {
-                self.recovery_deadline_us = None;
-                let silent: Vec<DeviceId> = self.recovering.keys().copied().collect();
-                for d in silent {
-                    self.remove_worker(d);
-                }
+            let timeout_us = h.timeout.as_micros() as u64;
+            let silent: Vec<DeviceId> = (self.peers.iter())
+                .filter(|(_, p)| p.sender.is_some())
+                .filter(|(_, p)| now.saturating_sub(p.last_pong_us) > timeout_us)
+                .map(|(&d, _)| d)
+                .collect();
+            for d in silent {
+                self.remove_worker(d);
             }
         }
-    }
-
-    /// Drop a worker from the roster and the deployment, telling the
-    /// surviving peers to cut their routes toward it so in-flight
-    /// tuples re-route immediately (§IV-C: "re-routes data to other
-    /// units") instead of waiting for retry deadlines — then re-place
-    /// its units on the survivors under a new epoch, so a stage whose
-    /// sole host died comes back instead of staying dark.
-    fn remove_worker(&mut self, device: DeviceId) {
-        let known = self.workers.iter().any(|w| w.device == device)
-            || self.recovering.contains_key(&device);
-        if !known {
-            return;
-        }
-        let name = self
-            .workers
-            .iter()
-            .find(|w| w.device == device)
-            .map(|w| w.name.clone())
-            .or_else(|| self.recovering.get(&device).map(|w| w.name.clone()))
-            .unwrap_or_default();
-        self.workers.retain(|w| w.device != device);
-        self.recovering.remove(&device);
-        self.senders.remove(&device);
-        self.last_pong.remove(&device);
-        self.status.dead_workers.lock().push(name);
-        let units: Vec<UnitId> = self.deployment.instances_on(device).collect();
-        if !units.is_empty() {
-            self.epoch += 1;
-            self.disconnect_edges_of(&units);
-            for u in units {
-                self.deployment.remove(u);
-            }
-            if self.started {
-                self.reconcile();
-            }
-        }
-        self.publish();
-    }
-
-    /// For every graph edge with exactly one end among `dead_units`,
-    /// send the surviving end's host a Disconnect for that pair.
-    fn disconnect_edges_of(&self, dead_units: &[UnitId]) {
-        for e in self.graph.edges() {
-            let (up_stage, down_stage) = (e.from, e.to);
-            let ups: Vec<UnitId> = self.deployment.instances_of(up_stage).collect();
-            let downs: Vec<UnitId> = self.deployment.instances_of(down_stage).collect();
-            for &u in &ups {
-                for &d in &downs {
-                    let survivor = match (dead_units.contains(&u), dead_units.contains(&d)) {
-                        (false, true) => u,
-                        (true, false) => d,
-                        _ => continue,
-                    };
-                    let Ok(dev) = self.deployment.device_of(survivor) else {
-                        continue;
-                    };
-                    if let Some(s) = self.senders.get(&dev) {
-                        let _ = s.send(Message::Disconnect {
-                            upstream: u,
-                            downstream: d,
-                            epoch: self.epoch,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Heartbeat mode: remove workers whose last Pong is too old.
-    fn prune_silent(&mut self, timeout: Duration) {
-        let now = self.config.clock.now_us();
-        let silent: Vec<DeviceId> = self
-            .workers
-            .iter()
-            .map(|w| w.device)
-            .filter(|d| {
-                self.last_pong
-                    .get(d)
-                    .map(|t| now.saturating_sub(*t) > timeout.as_micros() as u64)
-                    .unwrap_or(false)
-            })
-            .collect();
-        for d in silent {
+        for d in self.plane.recovery_expired(now) {
             self.remove_worker(d);
         }
+    }
+
+    /// A worker left, fell silent or let its lease lapse: the plane
+    /// evicts it and re-places its units; the survivors are told.
+    fn remove_worker(&mut self, device: DeviceId) {
+        let Some((name, wave)) = self.plane.leave(device) else {
+            return;
+        };
+        self.peers.remove(&device);
+        self.status.dead_workers.lock().push(name);
+        self.carry_out(wave);
+        self.publish();
     }
 
     fn on_join(&mut self, name: String, listen_addr: String) {
         let Ok(sender) = self.fabric.dial(&listen_addr) else {
             return; // unreachable worker: ignore the join
         };
-        let device = DeviceId(self.next_device);
-        self.next_device += 1;
+        let (device, wave) = self.plane.join(name, self.offers());
         let _ = sender.send(Message::Welcome { device });
-        self.senders.insert(device, sender);
-        self.last_pong.insert(device, self.config.clock.now_us());
-        self.workers.push(WorkerInfo {
-            device,
-            name,
-            addr: listen_addr,
-        });
-        if !self.started {
-            if self.workers.len() >= self.config.expected_workers {
-                self.epoch += 1;
-                self.reconcile();
-                self.broadcast(&Message::Start);
-                self.started = true;
-                self.status.set_started(true);
-            }
-        } else {
-            // Late joiner (Fig. 9): activate replicas on it and splice
-            // it into the running topology immediately.
-            self.epoch += 1;
-            self.reconcile();
-        }
-        self.publish();
+        self.admit(device, listen_addr, sender, wave);
     }
 
-    /// Drive the deployment toward the `Placement` policy's desired state
-    /// over the *current* roster: place and activate every (stage, device)
-    /// the policy wants that has no instance yet, then connect the new
-    /// units' edges. Add-only — instances on devices the policy no longer
-    /// favors keep running (migration away from live hosts is not an
-    /// error path). One routine serves initial deployment, late join,
-    /// and re-placement after a death; callers bump the epoch first.
-    fn reconcile(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        let order = self.graph.topo_order().expect("graph validated");
-        let mut new_units: Vec<UnitId> = Vec::new();
-        let mut touched: Vec<DeviceId> = Vec::new();
-        for stage in order {
-            let spec = self.graph.stage(stage).expect("stage exists");
-            let (role, parallelism) = (spec.role, spec.parallelism);
-            // Roster order keeps a parallelism cap stable across
-            // reconciles; dead hosts fall out of the roster, so
-            // replacement devices slide under the cap automatically.
-            let hosts = (self.config.placement).hosts(role, parallelism, self.workers.len());
-            let hosts: Vec<DeviceId> = self.workers[hosts].iter().map(|w| w.device).collect();
-            for device in hosts {
-                let have = self
-                    .deployment
-                    .instances_of(stage)
-                    .any(|u| self.deployment.device_of(u) == Ok(device));
-                if !have {
-                    let unit = self.deployment.place(stage, device);
-                    self.activate(device, unit, stage);
-                    new_units.push(unit);
-                    if !touched.contains(&device) {
-                        touched.push(device);
-                    }
-                }
-            }
-        }
-        if new_units.is_empty() {
-            return;
-        }
-        self.connect_edges(Some(&new_units));
-        // Freshly placed executors on an already-running app must start
-        // producing/processing immediately.
-        if self.started {
-            for device in touched {
-                if let Some(sender) = self.senders.get(&device) {
-                    let _ = sender.send(Message::Start);
-                }
-            }
-        }
-    }
-
-    fn activate(&self, device: DeviceId, unit: UnitId, stage: StageId) {
-        let stage_name = self.graph.stage(stage).expect("stage exists").name.clone();
-        if let Some(sender) = self.senders.get(&device) {
-            let _ = sender.send(Message::Activate {
-                unit,
-                stage,
-                stage_name,
-                epoch: self.epoch,
-            });
-            *self.status.deploys.lock().entry(unit).or_insert(0) += 1;
-        }
-    }
-
-    /// Send Connect messages for every instance pair along every graph
-    /// edge. With `only_touching`, restrict to pairs involving one of the
-    /// given (freshly placed) units.
-    fn connect_edges(&self, only_touching: Option<&[UnitId]>) {
-        for e in self.graph.edges() {
-            let (up_stage, down_stage) = (e.from, e.to);
-            let ups: Vec<UnitId> = self.deployment.instances_of(up_stage).collect();
-            let downs: Vec<UnitId> = self.deployment.instances_of(down_stage).collect();
-            for &u in &ups {
-                for &d in &downs {
-                    if let Some(filter) = only_touching {
-                        if !filter.contains(&u) && !filter.contains(&d) {
-                            continue;
-                        }
-                    }
-                    let u_dev = self.deployment.device_of(u).expect("placed");
-                    let d_dev = self.deployment.device_of(d).expect("placed");
-                    let u_addr = self.addr_of(u_dev);
-                    let d_addr = self.addr_of(d_dev);
-                    // Tell the upstream's node how to reach the
-                    // downstream, and the downstream's node how to reach
-                    // the upstream (for ACKs).
-                    if let (Some(s), Some(addr)) = (self.senders.get(&u_dev), d_addr.clone()) {
-                        let _ = s.send(Message::Connect {
-                            upstream: u,
-                            downstream: d,
-                            addr,
-                            epoch: self.epoch,
-                            kind: e.kind.clone(),
-                        });
-                    }
-                    if let (Some(s), Some(addr)) = (self.senders.get(&d_dev), u_addr) {
-                        let _ = s.send(Message::Connect {
-                            upstream: u,
-                            downstream: d,
-                            addr,
-                            epoch: self.epoch,
-                            kind: e.kind.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn addr_of(&self, device: DeviceId) -> Option<String> {
-        self.workers
-            .iter()
-            .find(|w| w.device == device)
-            .map(|w| w.addr.clone())
-    }
-
-    fn broadcast(&self, msg: &Message) {
-        for s in self.senders.values() {
-            let _ = s.send(msg.clone());
-        }
-    }
-
-    /// Publish the shared status *and* persist a checkpoint. Called at
-    /// every membership/deployment change, so the checkpoint always
-    /// reflects the latest epoch and placement.
-    fn publish(&self) {
-        *self.status.deployment.lock() = self.deployment.clone();
-        self.status.epoch.store(self.epoch, Ordering::SeqCst);
-        if let Some(store) = &self.config.checkpoint {
-            store.save(&self.to_checkpoint().encode());
-        }
-    }
-
-    fn to_checkpoint(&self) -> MasterCheckpoint {
-        MasterCheckpoint {
-            graph_name: self.graph.name().to_owned(),
-            n_stages: self.graph.stages().count(),
-            n_edges: self.graph.edges().len(),
-            epoch: self.epoch,
-            next_device: self.next_device,
-            started: self.started,
-            workers: self
-                .workers
-                .iter()
-                .chain(self.recovering.values())
-                .map(|w| (w.device, w.addr.clone(), w.name.clone()))
-                .collect(),
-            units: self.deployment.iter().collect(),
-        }
-    }
-
-    /// If the configured store holds a checkpoint for this graph, resume
-    /// from it: restore roster and placement under a bumped epoch, hail
-    /// every checkpointed worker with `MasterHello`, and arm the
-    /// re-announce grace deadline. Workers answer with `Announce`; units
-    /// they still host are adopted, missing ones redeployed
-    /// (`on_announce`), and workers that stay silent past the grace are
-    /// pruned, which re-places their units.
-    fn try_recover(&mut self) {
-        let Some(store) = &self.config.checkpoint else {
-            return;
-        };
-        let Some(bytes) = store.load() else {
-            return;
-        };
-        let ck = match MasterCheckpoint::decode(&bytes) {
-            Ok(ck) => ck,
-            Err(_) => return, // untrusted checkpoint: cold-start
-        };
-        if ck.graph_name != self.graph.name()
-            || ck.n_stages != self.graph.stages().count()
-            || ck.n_edges != self.graph.edges().len()
-        {
-            return; // checkpoint from a different application
-        }
-        self.epoch = ck.epoch + 1;
-        self.next_device = ck.next_device;
-        self.started = ck.started;
-        self.status.set_started(ck.started);
-        for (u, s, d) in ck.units {
-            self.deployment.restore(u, s, d);
-        }
-        for (device, addr, name) in ck.workers {
-            self.recovering.insert(
-                device,
-                WorkerInfo {
-                    device,
-                    name,
-                    addr: addr.clone(),
-                },
-            );
-            if let Ok(sender) = self.fabric.dial(&addr) {
-                let _ = sender.send(Message::MasterHello {
-                    addr: self.addr.clone(),
-                    epoch: self.epoch,
-                });
-            }
-        }
-        if !self.recovering.is_empty() {
-            self.recovery_deadline_us =
-                Some(self.config.clock.now_us() + self.config.recovery_grace.as_micros() as u64);
-        }
-        self.publish();
-    }
-
-    /// A worker re-announcing itself after a master restart: restore it
-    /// to the roster and reconcile adopt-vs-redeploy per unit — units it
-    /// still hosts are adopted untouched (no Activate, deploy counter
-    /// unchanged), units the checkpoint places on it that died with it
-    /// are re-activated under the current epoch.
+    /// A worker re-announcing itself after a master restart (see
+    /// [`ControlPlane::announce`]).
     fn on_announce(
         &mut self,
         device: DeviceId,
         name: String,
         listen_addr: String,
-        units: Vec<(UnitId, StageId)>,
+        units: &[(UnitId, StageId)],
     ) {
-        if self.workers.iter().any(|w| w.device == device) {
-            return; // duplicate announce: already restored
-        }
-        let expected = self.recovering.remove(&device);
-        if expected.is_none() {
-            // Unknown device (e.g. fenced-out zombie): treat as a fresh
-            // join so it re-enters through the normal path.
-            self.on_join(name, listen_addr);
-            return;
-        }
         let Ok(sender) = self.fabric.dial(&listen_addr) else {
             return;
         };
-        self.senders.insert(device, sender);
-        self.last_pong.insert(device, self.config.clock.now_us());
-        self.workers.push(WorkerInfo {
-            device,
-            name,
-            addr: listen_addr,
-        });
-        // Adopt-vs-redeploy: anything the checkpoint places here that the
-        // worker no longer runs must be re-activated; anything it still
-        // runs is adopted silently.
-        let expected_units: Vec<(UnitId, StageId)> = self
-            .deployment
-            .instances_on(device)
-            .map(|u| (u, self.deployment.stage_of(u).expect("placed")))
-            .collect();
-        let mut revived: Vec<UnitId> = Vec::new();
-        for (unit, stage) in expected_units {
-            if !units.contains(&(unit, stage)) {
-                self.activate(device, unit, stage);
-                revived.push(unit);
-            }
+        let Some((known_as, wave)) = (self.plane).announce(device, name, self.offers(), units)
+        else {
+            return; // duplicate announce: already restored
+        };
+        if known_as != device {
+            let _ = sender.send(Message::Welcome { device: known_as });
         }
-        if !revived.is_empty() {
-            self.connect_edges(Some(&revived));
-            if self.started {
-                if let Some(s) = self.senders.get(&device) {
-                    let _ = s.send(Message::Start);
+        self.admit(known_as, listen_addr, sender, wave);
+    }
+
+    /// The paper's workers "already hold all code": every stage.
+    fn offers(&self) -> Vec<StageId> {
+        self.plane.graph().stages().collect()
+    }
+
+    fn admit(&mut self, device: DeviceId, addr: String, sender: MsgSender, wave: Vec<Command>) {
+        let peer = Peer {
+            addr,
+            sender: Some(sender),
+            last_pong_us: self.config.clock.now_us(),
+        };
+        self.peers.insert(device, peer);
+        self.carry_out(wave);
+        self.publish();
+    }
+
+    /// Send each command of a wave, stamped with the epoch it was
+    /// decided under, to the hosts it concerns.
+    fn carry_out(&self, wave: Vec<Command>) {
+        let epoch = self.plane.epoch();
+        // A unit's host, while it is placed.
+        let host = |unit| {
+            self.peers
+                .get(&self.plane.deployment().device_of(unit).ok()?)
+        };
+        let send = |to: Option<&Peer>, msg: Message| {
+            let sender = to.and_then(|p| p.sender.as_ref());
+            sender.is_some_and(|s| s.send(msg).is_ok())
+        };
+        for cmd in wave {
+            match cmd {
+                Command::Activate {
+                    device,
+                    unit,
+                    stage,
+                } => {
+                    let spec = self.plane.graph().stage(stage).expect("stage exists");
+                    let msg = Message::Activate {
+                        unit,
+                        stage,
+                        stage_name: spec.name.clone(),
+                        epoch,
+                    };
+                    if send(self.peers.get(&device), msg) {
+                        *self.status.deploys.lock().entry(unit).or_insert(0) += 1;
+                    }
+                }
+                // Tell the upstream's node how to reach the downstream,
+                // and the downstream's node how to reach the upstream
+                // (for ACKs).
+                Command::Connect { up, down, kind } => {
+                    let (Some(u), Some(d)) = (host(up), host(down)) else {
+                        continue;
+                    };
+                    for (to, peer) in [(u, d), (d, u)] {
+                        let msg = Message::Connect {
+                            upstream: up,
+                            downstream: down,
+                            addr: peer.addr.clone(),
+                            epoch,
+                            kind: kind.clone(),
+                        };
+                        send(Some(to), msg);
+                    }
+                }
+                // The evicted end is no longer placed: this reaches the
+                // end that survived.
+                Command::Disconnect { up, down } => {
+                    for end in [up, down] {
+                        let msg = Message::Disconnect {
+                            upstream: up,
+                            downstream: down,
+                            epoch,
+                        };
+                        send(host(end), msg);
+                    }
+                }
+                Command::Start { device } => {
+                    send(self.peers.get(&device), Message::Start);
                 }
             }
         }
-        if self.recovering.is_empty() {
-            self.recovery_deadline_us = None;
+    }
+
+    fn broadcast(&self, msg: &Message) {
+        for s in self.peers.values().filter_map(|p| p.sender.as_ref()) {
+            let _ = s.send(msg.clone());
+        }
+    }
+
+    /// Publish the shared status *and* persist a checkpoint, once per
+    /// handled membership event. Progress goes last: whoever
+    /// [`MasterStatus::wait_started`] wakes finds the deployment there.
+    fn publish(&self) {
+        *self.status.deployment.lock() = self.plane.deployment().clone();
+        self.status
+            .epoch
+            .store(self.plane.epoch(), Ordering::SeqCst);
+        if let Some(store) = &self.config.checkpoint {
+            let addr_of = |d| {
+                self.peers
+                    .get(&d)
+                    .map_or_else(String::new, |p| p.addr.clone())
+            };
+            store.save(&self.plane.checkpoint(addr_of).encode());
+        }
+        (self.status).set_progress(self.plane.started(), self.peers.len());
+    }
+
+    /// Resume from the previous incarnation's checkpoint: every worker
+    /// in it is hailed with `MasterHello` and has `recovery_grace` to
+    /// answer with `Announce`; one that stays silent is pruned on the
+    /// tick after, which re-places its units.
+    fn recover(&mut self, ck: MasterCheckpoint) {
+        let grace_us = self.config.recovery_grace.as_micros() as u64;
+        let deadline_us = self.config.clock.now_us() + grace_us;
+        self.plane.restore(&ck, deadline_us);
+        for (device, addr, _) in ck.workers {
+            if let Ok(sender) = self.fabric.dial(&addr) {
+                let _ = sender.send(Message::MasterHello {
+                    addr: self.addr.clone(),
+                    epoch: self.plane.epoch(),
+                });
+            }
+            let peer = Peer {
+                addr,
+                sender: None,
+                last_pong_us: 0,
+            };
+            self.peers.insert(device, peer);
         }
         self.publish();
-    }
-}
-
-impl std::fmt::Debug for MasterState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MasterState")
-            .field("workers", &self.workers.len())
-            .field("started", &self.started)
-            .finish_non_exhaustive()
     }
 }
 

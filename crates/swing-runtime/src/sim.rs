@@ -23,13 +23,15 @@
 //!   schedule. Crashing an endpoint drops the receiving ends of every
 //!   link toward it, so senders observe a disconnected channel — the
 //!   exact failure the live eviction path handles.
-//! * [`SimSwarm`] — the harness. It deploys a real [`UnitRegistry`]'s
-//!   units across simulated workers (the master's
-//!   [`Placement::SourceOnFirst`]), wires their [`Dispatcher`]s through
-//!   the fabric, and pumps one [`EventQueue`] under the shared virtual
-//!   clock: source pacing ticks, message deliveries, ACK-deadline
-//!   timers, service completions, reorder-buffer polls, and scheduled
-//!   crashes. A handler pops the event, calls the machine's transition,
+//! * [`SimSwarm`] — the harness. Its workers join the control plane the
+//!   live master runs (`control.rs`, under
+//!   [`Placement::SourceOnFirst`]); it carries out the plane's commands
+//!   on the spot — real [`UnitRegistry`] units placed, their
+//!   [`Dispatcher`]s wired through the fabric — and pumps one
+//!   [`EventQueue`] under the shared virtual clock: source pacing
+//!   ticks, message deliveries, ACK-deadline timers, service
+//!   completions, reorder-buffer polls, and scheduled crashes. A
+//!   handler pops the event, calls the machine's transition,
 //!   then schedules the next event and charges the energy and radio
 //!   models from what the transition returned; it decides nothing about
 //!   the tuple. The one input it supplies that a thread measures
@@ -56,6 +58,7 @@
 //!   source, and a link-break timeout that feeds the crash → evict
 //!   path.
 
+use crate::control::{Command, ControlPlane};
 use crate::dispatch::Dispatcher;
 use crate::executor::{DeliveryStats, NodeConfig, SinkMeter, SinkReport};
 use crate::fabric::{MsgReceiver, MsgSender};
@@ -70,8 +73,8 @@ use swing_core::event::EventQueue;
 use swing_core::graph::{AppGraph, EdgeKind, Role, StageId};
 use swing_core::rng::DetRng;
 use swing_core::timing;
+use swing_core::{DeviceId, SeqNo, Tuple, UnitId};
 use swing_core::{Error, Result};
-use swing_core::{SeqNo, Tuple, UnitId};
 use swing_device::cpu::CpuModel;
 use swing_device::mobility::{MobilityTrace, SignalZone};
 use swing_device::profile::Workload;
@@ -850,6 +853,9 @@ struct SimExec {
     worker: usize,
     machine: UnitMachine,
     alive: bool,
+    /// Whether the master's `Start` has reached it (first pacing tick
+    /// or reorder poll scheduled).
+    started: bool,
     /// Earliest armed retry-timer event, to avoid flooding the queue.
     armed_timer: Option<u64>,
     /// Whether a `ServiceDone` completion is scheduled. An operator
@@ -933,7 +939,7 @@ enum SimEvent {
     /// The master goes dark: failure detection (and so eviction and
     /// re-placement) pauses. The data plane keeps flowing.
     MasterDown,
-    /// The master is back: deferred evictions fire.
+    /// The master is back: deferred evictions and joins are handled.
     MasterUp,
     /// Inbound partition of a worker begins (`restore: false`) or heals
     /// (`restore: true`).
@@ -986,17 +992,13 @@ pub struct SimSwarm {
     due: Vec<(u64, usize, Message)>,
     queue: EventQueue<SimEvent>,
     workers: Vec<SimWorker>,
+    /// Unit `u` is `execs[u]`: the control plane hands out dense ids
+    /// and every unit it activates is instantiated here.
     execs: Vec<SimExec>,
-    /// Global unit → exec index.
-    by_unit: HashMap<UnitId, usize>,
     config: SimSwarmConfig,
-    /// The application, kept for reconcile-based re-placement.
-    graph: AppGraph,
-    /// Next unit id (never reused, like the master's deployment).
-    next_unit: u32,
-    /// Deployment epoch, bumped on every topology-changing wave
-    /// (eviction, join) — the sim twin of the master's fence.
-    epoch: u64,
+    /// The master's decisions: roster, deployment, epoch. Worker `w` is
+    /// its device `w`; [`apply`](Self::apply) carries out its commands.
+    plane: ControlPlane,
     epoch_g: Gauge,
     replaced_c: Counter,
     recovery_h: Histogram,
@@ -1006,9 +1008,11 @@ pub struct SimSwarm {
     departures: Vec<(u64, String)>,
     /// Battery state per worker, when energy modeling is on.
     energy: Option<EnergyRt>,
-    /// While true, evictions defer (no master to prune the dead).
+    /// While true, membership events defer (no master to handle them).
     master_down: bool,
-    deferred_evicts: Vec<usize>,
+    /// Evictions and joins that arrived while the master was down, in
+    /// arrival order.
+    deferred: Vec<SimEvent>,
     /// Workers scheduled to join, consumed by `SimEvent::Join`.
     pending_joins: Vec<Option<(String, UnitRegistry, Option<WorkerSpec>)>>,
     /// In-flight byte windows, one per wired radio edge; empty unless
@@ -1043,9 +1047,10 @@ impl std::fmt::Debug for SimSwarm {
 }
 
 impl SimSwarm {
-    /// Deploy `graph` across the named workers (same placement rule as
-    /// the live master's `SourceOnFirst`: source and sink on the first
-    /// worker, operators replicated on the rest) and wire every edge
+    /// Deploy `graph` across the named workers — each joins the
+    /// [`ControlPlane`] the live master runs, under
+    /// [`Placement::SourceOnFirst`] (source and sink on the first
+    /// worker, operators replicated on the rest) — and wire every edge
     /// through a fresh [`SimFabric`] seeded from `config.seed`.
     pub fn start(
         graph: AppGraph,
@@ -1098,7 +1103,19 @@ impl SimSwarm {
             .telemetry
             .set_time_source(move || tel_clock.now_us());
 
+        // The first deployment waits for everyone present at t = 0.
+        let late = |w: &&(_, _, Option<WorkerSpec>)| w.2.as_ref().is_some_and(|d| d.join_at_us > 0);
+        let expected = workers.len() - workers.iter().filter(late).count();
         let telemetry = config.node.telemetry.clone();
+        let energy = config.energy.clone().map(|cfg| EnergyRt {
+            packs: Vec::new(),
+            window_start_us: 0,
+            deaths_c: telemetry.counter(tn::DEATHS, &[]),
+            low_power_c: telemetry.counter(tn::LOW_POWER, &[]),
+            deaths: Vec::new(),
+            low_power: Vec::new(),
+            cfg,
+        });
         let mut sim = SimSwarm {
             clock: Arc::clone(&clock),
             fabric,
@@ -1106,19 +1123,16 @@ impl SimSwarm {
             queue: EventQueue::new(),
             workers: Vec::new(),
             execs: Vec::new(),
-            by_unit: HashMap::new(),
             config,
-            graph,
-            next_unit: 0,
-            epoch: 1,
+            plane: ControlPlane::new(graph, Placement::SourceOnFirst, expected),
             epoch_g: telemetry.gauge(tn::MASTER_EPOCH, &[]),
             replaced_c: telemetry.counter(tn::FAILOVER_REPLACED_UNITS, &[]),
             recovery_h: telemetry.histogram(tn::FAILOVER_RECOVERY_US, &[]),
             crashed_at: HashMap::new(),
             departures: Vec::new(),
-            energy: None,
+            energy,
             master_down: false,
-            deferred_evicts: Vec::new(),
+            deferred: Vec::new(),
             pending_joins: Vec::new(),
             windows: Vec::new(),
             gateway_every: None,
@@ -1130,92 +1144,54 @@ impl SimSwarm {
             gateway_ingress_c: telemetry.counter(tn::GATEWAY_INGRESS, &[]),
             gateway_hop_h: telemetry.histogram(tn::GATEWAY_HOP_US, &[]),
         };
-        sim.epoch_g.set_u64(sim.epoch);
 
         for (name, registry, device) in workers {
-            if let Some(at) = device.as_ref().map(|d| d.join_at_us).filter(|&t| t > 0) {
-                sim.join_at(name, registry, device, at);
-                continue;
+            match device.as_ref().map_or(0, |d| d.join_at_us) {
+                0 => sim.admit(name, registry, device, 0),
+                at => sim.join_at(name, registry, device, at),
             }
-            if let Some(t) = device.as_ref().and_then(|d| d.departs_at(0)) {
-                sim.queue.schedule(t, SimEvent::Crash(sim.workers.len()));
-            }
-            sim.admit(name, registry, device);
+        }
+        if let Some(energy) = &sim.energy {
+            let first = energy.cfg.vitals_every_us;
+            sim.queue.schedule(first, SimEvent::VitalsTick);
         }
 
-        if let Some(cfg) = sim.config.energy.clone() {
-            let packs = sim
-                .workers
-                .iter()
-                .map(|w| EnergyRt::make_pack(&cfg, &w.name, w.device.as_ref(), &telemetry))
-                .collect();
-            sim.queue
-                .schedule(cfg.vitals_every_us, SimEvent::VitalsTick);
-            sim.energy = Some(EnergyRt {
-                packs,
-                window_start_us: 0,
-                deaths_c: telemetry.counter(tn::DEATHS, &[]),
-                low_power_c: telemetry.counter(tn::LOW_POWER, &[]),
-                deaths: Vec::new(),
-                low_power: Vec::new(),
-                cfg,
-            });
+        // The first deployment, like live: everyone joins, the last
+        // join deploys, wires and starts the app.
+        for w in 0..sim.workers.len() {
+            sim.enroll(w, 0);
         }
-
-        let stages: Vec<StageId> = sim.graph.stages().collect();
-        let mut stage_instances: HashMap<StageId, Vec<UnitId>> = HashMap::new();
-        for stage in stages {
-            let spec = sim.graph.stage(stage).expect("stage exists");
-            let (role, parallelism) = (spec.role, spec.parallelism);
-            // A worker hosts the stages its registry has a unit for.
-            for w in sim.hosts_for(role, parallelism) {
-                if let Some(unit) = sim.place_unit(stage, w) {
-                    stage_instances.entry(stage).or_default().push(unit);
-                }
-            }
-            // An empty stage is a deployment error, unless described
-            // devices are still to join and may bring the unit.
-            if !stage_instances.contains_key(&stage) && sim.pending_joins.is_empty() {
-                return Err(Error::Malformed(format!(
-                    "no worker has a unit installed for stage {}",
-                    sim.graph.stage(stage).expect("stage exists").name
-                )));
-            }
-        }
-
-        // Wire edges: each (upstream instance, downstream instance)
-        // pair gets its own dialed link in both directions (data
-        // forward, ACKs back), exactly like the master's Connect fan-out.
-        let edges = sim.graph.edges().to_vec();
-        for e in edges {
-            let ups = stage_instances.get(&e.from).cloned().unwrap_or_default();
-            let downs = stage_instances.get(&e.to).cloned().unwrap_or_default();
-            for &up in &ups {
-                for &down in &downs {
-                    sim.wire_pair(up, down, &e.kind)?;
-                }
-            }
-        }
-
-        // First pacing tick of every source at t = 0.
-        for i in 0..sim.execs.len() {
-            if sim.execs[i].machine.role() == Role::Source {
-                sim.queue.schedule(0, SimEvent::SourceTick(i));
-            }
-        }
-        // Reorder polls for every sink.
-        let poll = sim.config.reorder_poll_us;
-        for i in 0..sim.execs.len() {
-            if sim.execs[i].machine.role() == Role::Sink {
-                sim.queue.schedule(poll, SimEvent::ReorderPoll(i));
-            }
+        // An empty stage is a deployment error, unless described
+        // devices are still to join and may bring the unit.
+        let (graph, placed) = (sim.plane.graph(), sim.plane.deployment());
+        let empty = (graph.stages()).find(|&s| placed.instances_of(s).next().is_none());
+        if let Some(stage) = empty.filter(|_| sim.pending_joins.is_empty()) {
+            return Err(Error::Malformed(format!(
+                "no worker has a unit installed for stage {}",
+                graph.stage(stage).expect("stage exists").name
+            )));
         }
         Ok(sim)
     }
 
-    /// Add a worker to the roster, listening at the endpoint of its
-    /// index.
-    fn admit(&mut self, name: String, registry: UnitRegistry, device: Option<WorkerSpec>) {
+    /// Add a worker to the roster at `now`, listening at the endpoint
+    /// of its index, with its battery pack and — if its description has
+    /// it depart — the crash that takes it away.
+    fn admit(
+        &mut self,
+        name: String,
+        registry: UnitRegistry,
+        device: Option<WorkerSpec>,
+        now: u64,
+    ) {
+        if let Some(energy) = &mut self.energy {
+            let telemetry = &self.config.node.telemetry;
+            let pack = EnergyRt::make_pack(&energy.cfg, &name, device.as_ref(), telemetry);
+            energy.packs.push(pack);
+        }
+        if let Some(t) = device.as_ref().and_then(|d| d.departs_at(now)) {
+            self.queue.schedule(t, SimEvent::Crash(self.workers.len()));
+        }
         assert_eq!(
             self.fabric.listen(),
             self.workers.len(),
@@ -1229,30 +1205,76 @@ impl SimSwarm {
         });
     }
 
-    /// Desired hosts of a role over the *live* roster, under the
-    /// master's [`Placement::SourceOnFirst`] (roster order, so
-    /// replacement hosts slide under a parallelism cap as dead workers
-    /// leave the roster).
-    fn hosts_for(&self, role: Role, parallelism: Option<u32>) -> Vec<usize> {
-        let alive: Vec<usize> = self
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive)
-            .map(|(i, _)| i)
-            .collect();
-        alive[Placement::SourceOnFirst.hosts(role, parallelism, alive.len())].to_vec()
+    /// Worker `w` joins the control plane, offering the stages its
+    /// registry has a unit for.
+    fn enroll(&mut self, w: usize, now: u64) {
+        let graph = self.plane.graph();
+        let installed = |s: &StageId| {
+            let name = &graph.stage(*s).expect("stage exists").name;
+            self.workers[w].registry.contains(name)
+        };
+        let offers = graph.stages().filter(installed).collect();
+        let (device, wave) = self.plane.join(self.workers[w].name.clone(), offers);
+        assert_eq!(device, DeviceId(w as u32), "worker w is device w");
+        self.apply(wave, now);
     }
 
-    /// Instantiate `stage` from worker `w`'s registry as a fresh unit
-    /// (no edges wired, no events scheduled; a source's first capture
-    /// is due now). `None` if the worker has no unit installed for the
-    /// stage.
-    fn place_unit(&mut self, stage: StageId, w: usize) -> Option<UnitId> {
-        let spec = self.graph.stage(stage).expect("stage exists");
-        let any = self.workers[w].registry.create(&spec.name)?;
-        let unit = UnitId(self.next_unit);
-        self.next_unit += 1;
+    /// Carry out a wave of the control plane's commands, in order and
+    /// in this instant (the control channel has no latency here).
+    fn apply(&mut self, wave: Vec<Command>, now: u64) {
+        for cmd in wave {
+            match cmd {
+                Command::Activate {
+                    device,
+                    unit,
+                    stage,
+                } => self.place_unit(unit, stage, device.0 as usize),
+                Command::Connect { up, down, kind } => self.wire_pair(up, down, &kind),
+                Command::Disconnect { up, down } => {
+                    if let Some(e) = self.live_exec(up) {
+                        e.machine.disp.remove_downstream(down);
+                    }
+                    if let Some(e) = self.live_exec(down) {
+                        e.machine.disp.remove_upstream(up);
+                    }
+                }
+                Command::Start { device } => self.start_units(device.0 as usize, now),
+            }
+        }
+        self.epoch_g.set_u64(self.plane.epoch());
+    }
+
+    /// The exec of `unit`, if it was placed and its worker is up.
+    fn live_exec(&mut self, unit: UnitId) -> Option<&mut SimExec> {
+        self.execs.get_mut(unit.0 as usize).filter(|e| e.alive)
+    }
+
+    /// `Start` reaches worker `w`: every unit on it not running yet gets
+    /// its first pacing tick (a source) or reorder poll (a sink).
+    fn start_units(&mut self, w: usize, now: u64) {
+        for (i, e) in self.execs.iter_mut().enumerate() {
+            if e.worker != w || !e.alive || std::mem::replace(&mut e.started, true) {
+                continue;
+            }
+            match e.machine.role() {
+                Role::Source => self.queue.schedule(now, SimEvent::SourceTick(i)),
+                Role::Sink => self
+                    .queue
+                    .schedule(now + self.config.reorder_poll_us, SimEvent::ReorderPoll(i)),
+                Role::Operator => {}
+            }
+        }
+    }
+
+    /// Instantiate `stage` from worker `w`'s registry as `unit` (no
+    /// edges wired, no events scheduled; a source's first capture is
+    /// due now). On a worker that is down — crashed, its eviction still
+    /// to come — the unit is dead from the start, like one whose
+    /// `Activate` a dead live worker never saw.
+    fn place_unit(&mut self, unit: UnitId, stage: StageId, w: usize) {
+        assert_eq!(unit.0 as usize, self.execs.len(), "unit u is exec u");
+        let spec = self.plane.graph().stage(stage).expect("stage exists");
+        let any = (self.workers[w].registry.create(&spec.name)).expect("the worker offered it");
         let mut node = self.config.node.clone();
         node.clock = self.clock.clone();
         node.worker_label.clone_from(&self.workers[w].name);
@@ -1278,34 +1300,35 @@ impl SimSwarm {
                     ),
                 }))
             });
-        let idx = self.execs.len();
-        self.by_unit.insert(unit, idx);
         self.execs.push(SimExec {
             unit,
             stage,
             worker: w,
             machine,
-            alive: true,
+            alive: self.workers[w].alive,
+            started: false,
             armed_timer: None,
             busy: false,
             serving_us: 0,
             cpu,
         });
-        Some(unit)
     }
 
     /// Dial the two directional links of one (upstream, downstream)
     /// instance pair and register them with both dispatchers, stamping
-    /// the upstream dispatcher with the edge's distribution mode.
-    fn wire_pair(&mut self, up: UnitId, down: UnitId, kind: &EdgeKind) -> Result<()> {
-        let up_idx = self.by_unit[&up];
-        let down_idx = self.by_unit[&down];
+    /// the upstream dispatcher with the edge's distribution mode. A
+    /// pair with an end on a worker that is down cannot be dialed.
+    fn wire_pair(&mut self, up: UnitId, down: UnitId, kind: &EdgeKind) {
+        if self.live_exec(up).is_none() || self.live_exec(down).is_none() {
+            return;
+        }
+        let (up_idx, down_idx) = (up.0 as usize, down.0 as usize);
         let (up_w, down_w) = (self.execs[up_idx].worker, self.execs[down_idx].worker);
-        let tx_data = self.dial(up_w, down_w)?;
+        let tx_data = self.dial(up_w, down_w);
         let up_disp = &mut self.execs[up_idx].machine.disp;
         up_disp.set_edge_kind(kind);
         up_disp.add_downstream(down, tx_data);
-        let tx_ack = self.dial(down_w, up_w)?;
+        let tx_ack = self.dial(down_w, up_w);
         self.execs[down_idx].machine.disp.add_upstream(up, tx_ack);
         if self.config.radio_window_bytes.is_some() {
             self.windows.push(Window {
@@ -1315,22 +1338,22 @@ impl SimSwarm {
                 frame: 0,
             });
         }
-        Ok(())
     }
 
     /// Dial a link from worker `from` to worker `to`. With the radio on,
     /// a link between two workers crosses the radio of whichever is a
     /// described device (the receiver's, when both are); within one
     /// worker, or between two undescribed ones, it is a plain link.
-    fn dial(&mut self, from: usize, to: usize) -> Result<MsgSender> {
+    fn dial(&mut self, from: usize, to: usize) -> MsgSender {
         let radio_end = [to, from]
             .into_iter()
             .filter(|_| from != to && self.config.radio_window_bytes.is_some())
             .find_map(|w| Some((w, self.workers[w].device.as_ref()?)));
-        match radio_end {
+        let link = match radio_end {
             Some((owner, device)) => self.fabric.dial_radio(to, owner, &device.mobility),
             None => self.fabric.dial(to),
-        }
+        };
+        link.expect("a live worker's endpoint is up")
     }
 
     /// The virtual clock every unit in this swarm reads.
@@ -1392,10 +1415,10 @@ impl SimSwarm {
         self.queue.schedule(at_us, SimEvent::SourceRate(fps));
     }
 
-    /// Take the control plane offline over `[from_us, to_us)`: worker
-    /// evictions detected in that window are deferred (survivors keep
-    /// retrying blind) and replayed, with re-placement, the moment the
-    /// master returns.
+    /// Take the control plane offline over `[from_us, to_us)`: evictions
+    /// and joins due in that window are deferred (survivors keep
+    /// retrying blind, newcomers wait) and handled, in arrival order,
+    /// the moment the master returns.
     pub fn master_outage(&mut self, from_us: u64, to_us: u64) {
         assert!(from_us < to_us, "outage window must be non-empty");
         self.queue.schedule(from_us, SimEvent::MasterDown);
@@ -1434,7 +1457,7 @@ impl SimSwarm {
     /// topology-changing wave — eviction, join, re-placement).
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.plane.epoch()
     }
 
     // -- federation seam (the shard-local half of the sharded engine) --
@@ -1523,7 +1546,7 @@ impl SimSwarm {
         self.execs
             .iter()
             .map(|e| {
-                let stage = self.graph.stage(e.stage).expect("stage exists");
+                let stage = self.plane.graph().stage(e.stage).expect("stage exists");
                 (
                     e.unit,
                     stage.name.clone(),
@@ -1539,8 +1562,9 @@ impl SimSwarm {
     #[must_use]
     pub fn live_placement(&self) -> Vec<(String, Vec<String>)> {
         let mut out: Vec<(String, Vec<String>)> = Vec::new();
-        for stage in self.graph.stages() {
-            let name = self.graph.stage(stage).expect("stage exists").name.clone();
+        let graph = self.plane.graph();
+        for stage in graph.stages() {
+            let name = graph.stage(stage).expect("stage exists").name.clone();
             let hosts: Vec<String> = self
                 .execs
                 .iter()
@@ -1587,12 +1611,7 @@ impl SimSwarm {
                 e.machine.disp.publish();
             }
         }
-        let live: Vec<String> = self
-            .workers
-            .iter()
-            .filter(|w| w.alive)
-            .map(|w| w.name.clone())
-            .collect();
+        let live = self.alive_workers();
         delivery_from_snapshot(&self.config.node.telemetry.snapshot(), &live)
     }
 
@@ -1712,8 +1731,8 @@ impl SimSwarm {
         };
         f(w);
         let admits = w.used == 0 || w.used + w.frame <= cap;
-        if let Some(&i) = self.by_unit.get(&from) {
-            self.execs[i].machine.disp.set_link_up(to, admits);
+        if let Some(e) = self.execs.get_mut(from.0 as usize) {
+            e.machine.disp.set_link_up(to, admits);
         }
     }
 
@@ -1768,6 +1787,10 @@ impl SimSwarm {
 
     fn handle(&mut self, now: u64, ev: SimEvent) {
         match ev {
+            // Nobody is steering the control plane: survivors keep
+            // retrying on their own and newcomers wait, until the master
+            // returns and takes the events in the order they came.
+            SimEvent::Evict(_) | SimEvent::Join(_) if self.master_down => self.deferred.push(ev),
             SimEvent::SourceTick(i) => self.on_source_tick(i, now),
             SimEvent::Deliver { to, msg } => self.on_deliver(to, msg, now),
             SimEvent::Timer(i) => {
@@ -1791,9 +1814,8 @@ impl SimSwarm {
             SimEvent::MasterDown => self.master_down = true,
             SimEvent::MasterUp => {
                 self.master_down = false;
-                let deferred = std::mem::take(&mut self.deferred_evicts);
-                for w in deferred {
-                    self.on_evict(w, now);
+                for ev in std::mem::take(&mut self.deferred) {
+                    self.handle(now, ev);
                 }
             }
             SimEvent::GatewayIngress {
@@ -1924,9 +1946,8 @@ impl SimSwarm {
             Message::Ack { from, .. } => (timing::ACK_BYTES, *from),
             _ => return,
         };
-        if let Some(&i) = self.by_unit.get(&sender) {
-            let tx_worker = self.execs[i].worker;
-            self.drain_wifi(tx_worker, bytes, now);
+        if let Some(e) = self.execs.get(sender.0 as usize) {
+            self.drain_wifi(e.worker, bytes, now);
         }
         self.drain_wifi(rx_worker, bytes, now);
     }
@@ -2007,17 +2028,15 @@ impl SimSwarm {
                 (p.frac(), p.drain_w, rssi)
             })
             .collect();
-        let unit_worker: HashMap<UnitId, usize> = self
-            .execs
-            .iter()
-            .filter(|e| e.alive)
-            .map(|e| (e.unit, e.worker))
+        // The worker hosting each unit that is up, by unit.
+        let host: Vec<Option<usize>> = (self.execs.iter())
+            .map(|e| e.alive.then_some(e.worker))
             .collect();
         for e in self.execs.iter_mut().filter(|e| e.alive) {
             let disp = &mut e.machine.disp;
             let downs: Vec<UnitId> = disp.router_mut().downstreams().collect();
             for d in downs {
-                let Some(&w) = unit_worker.get(&d) else {
+                let Some(w) = host.get(d.0 as usize).copied().flatten() else {
                     continue;
                 };
                 let Some(&(frac, drain, rssi)) = readings.get(w) else {
@@ -2123,11 +2142,9 @@ impl SimSwarm {
                 processing_us,
                 ..
             } => {
-                if let Some(&i) = self.by_unit.get(&to) {
-                    if self.execs[i].alive {
-                        self.execs[i].machine.disp.on_ack(seq, processing_us);
-                        self.arm_timer(i, now);
-                    }
+                if let Some(e) = self.live_exec(to) {
+                    e.machine.disp.on_ack(seq, processing_us);
+                    self.arm_timer(to.0 as usize, now);
                 }
             }
             _ => {}
@@ -2138,13 +2155,10 @@ impl SimSwarm {
     /// receives (sink) it; what it reports back moves the radio window
     /// of the edge, the device meters and the gateway tap.
     fn on_data(&mut self, dest: UnitId, from: UnitId, tuple: Tuple, now: u64) {
-        let Some(&i) = self.by_unit.get(&dest) else {
+        let i = dest.0 as usize;
+        let Some(e) = self.execs.get_mut(i).filter(|e| e.alive) else {
             return;
         };
-        let e = &mut self.execs[i];
-        if !e.alive {
-            return;
-        }
         match e.machine.role() {
             Role::Source => {}
             Role::Operator => {
@@ -2210,9 +2224,8 @@ impl SimSwarm {
         // corresponding downstream", §IV-C) — one holding position on a
         // full window would otherwise never touch the broken link.
         let execs = &mut self.execs;
-        let by_unit = &self.by_unit;
         self.windows.retain(|win| {
-            let (up, down) = (by_unit[&win.from], by_unit[&win.to]);
+            let (up, down) = (win.from.0 as usize, win.to.0 as usize);
             if execs[down].worker == w {
                 execs[up].machine.disp.remove_downstream(win.to);
             }
@@ -2227,42 +2240,25 @@ impl SimSwarm {
         );
     }
 
+    /// The master declares worker `w` dead: the survivors cut their
+    /// routes toward its units, then its stages are re-placed on them
+    /// under a fresh deployment epoch.
     fn on_evict(&mut self, w: usize, now: u64) {
-        if self.master_down {
-            // Nobody is steering the control plane: survivors keep
-            // retrying on their own until the master returns and
-            // replays the eviction.
-            if !self.deferred_evicts.contains(&w) {
-                self.deferred_evicts.push(w);
-            }
-            return;
-        }
-        let dead: Vec<UnitId> = self
-            .execs
-            .iter()
-            .filter(|e| e.worker == w)
-            .map(|e| e.unit)
-            .collect();
+        let (_, wave) = (self.plane.leave(DeviceId(w as u32))).expect("a crashed worker");
+        let cut = |c: &Command| matches!(c, Command::Disconnect { .. });
+        let (cuts, placed): (Vec<_>, Vec<_>) = wave.into_iter().partition(cut);
+        self.apply(cuts, now);
+        // What was held back for the dead routes goes to the survivors
+        // before any replacement is wired in.
         for i in 0..self.execs.len() {
-            if !self.execs[i].alive {
-                continue;
+            if self.execs[i].alive {
+                self.execs[i].machine.disp.flush_pending();
+                self.arm_timer(i, now);
             }
-            for &du in &dead {
-                self.execs[i].machine.disp.remove_downstream(du);
-                self.execs[i].machine.disp.remove_upstream(du);
-            }
-            self.execs[i].machine.disp.flush_pending();
-            self.arm_timer(i, now);
         }
-        // Self-heal: re-place the dead worker's stages on survivors
-        // under a fresh deployment epoch, mirroring the live master's
-        // remove_worker → reconcile wave.
-        self.epoch += 1;
-        self.epoch_g.set_u64(self.epoch);
-        let placed = self.reconcile(now);
-        if placed > 0 {
-            self.replaced_c.add(placed);
-        }
+        let before = self.execs.len();
+        self.apply(placed, now);
+        self.replaced_c.add((self.execs.len() - before) as u64);
         if let Some(t0) = self.crashed_at.remove(&w) {
             self.recovery_h.record(now.saturating_sub(t0));
         }
@@ -2273,85 +2269,8 @@ impl SimSwarm {
         else {
             return;
         };
-        if let Some(energy) = &mut self.energy {
-            let telemetry = &self.config.node.telemetry;
-            let pack = EnergyRt::make_pack(&energy.cfg, &name, device.as_ref(), telemetry);
-            energy.packs.push(pack);
-        }
-        if let Some(t) = device.as_ref().and_then(|d| d.departs_at(now)) {
-            self.queue.schedule(t, SimEvent::Crash(self.workers.len()));
-        }
-        self.admit(name, registry, device);
-        self.epoch += 1;
-        self.epoch_g.set_u64(self.epoch);
-        self.reconcile(now);
-    }
-
-    /// Drive the deployed set toward the desired placement over the
-    /// live roster — the simulator's mirror of `Master::reconcile`.
-    /// Missing `(stage, worker)` instances are created, their edges
-    /// wired pair-by-pair, and fresh sources/sinks scheduled from
-    /// `now`. Returns how many units were placed.
-    fn reconcile(&mut self, now: u64) -> u64 {
-        let order = match self.graph.topo_order() {
-            Ok(o) => o,
-            Err(_) => return 0,
-        };
-        let mut new_units: Vec<UnitId> = Vec::new();
-        for stage in order {
-            let spec = self.graph.stage(stage).expect("stage exists");
-            let (role, parallelism) = (spec.role, spec.parallelism);
-            for w in self.hosts_for(role, parallelism) {
-                let have = self
-                    .execs
-                    .iter()
-                    .any(|e| e.alive && e.stage == stage && e.worker == w);
-                if !have {
-                    if let Some(unit) = self.place_unit(stage, w) {
-                        new_units.push(unit);
-                    }
-                }
-            }
-        }
-        if new_units.is_empty() {
-            return 0;
-        }
-        // Wire only pairs that touch a new unit; surviving pairs keep
-        // their existing links.
-        let edges = self.graph.edges().to_vec();
-        for edge in edges {
-            let ups: Vec<UnitId> = self
-                .execs
-                .iter()
-                .filter(|e| e.alive && e.stage == edge.from)
-                .map(|e| e.unit)
-                .collect();
-            let downs: Vec<UnitId> = self
-                .execs
-                .iter()
-                .filter(|e| e.alive && e.stage == edge.to)
-                .map(|e| e.unit)
-                .collect();
-            for &up in &ups {
-                for &down in &downs {
-                    if !new_units.contains(&up) && !new_units.contains(&down) {
-                        continue;
-                    }
-                    let _ = self.wire_pair(up, down, &edge.kind);
-                }
-            }
-        }
-        for &unit in &new_units {
-            let i = self.by_unit[&unit];
-            match self.execs[i].machine.role() {
-                Role::Source => self.queue.schedule(now, SimEvent::SourceTick(i)),
-                Role::Sink => self
-                    .queue
-                    .schedule(now + self.config.reorder_poll_us, SimEvent::ReorderPoll(i)),
-                Role::Operator => {}
-            }
-        }
-        new_units.len() as u64
+        self.admit(name, registry, device, now);
+        self.enroll(self.workers.len() - 1, now);
     }
 }
 
@@ -2737,6 +2656,100 @@ mod tests {
         swarm.run_for(5 * SECOND_US);
         assert_eq!(swarm.epoch(), 2, "deferred eviction replays on recovery");
         assert_eq!(hosts_of(&swarm, "work"), vec!["A".to_string()]);
+    }
+
+    #[test]
+    fn join_inside_a_master_outage_waits_for_the_master() {
+        let mut swarm = SimSwarm::start(
+            graph(),
+            vec![("A".into(), registry(u64::MAX)), ("B".into(), registry(0))],
+            config(22, 0.0),
+        )
+        .unwrap();
+        swarm.master_outage(2 * SECOND_US, 8 * SECOND_US);
+        swarm.add_worker_at("C", registry(0), 3 * SECOND_US);
+        swarm.run_until(8 * SECOND_US - 1);
+        assert_eq!(swarm.alive_workers(), vec!["A", "B"], "nobody to admit C");
+        assert_eq!(swarm.epoch(), 1);
+        swarm.run_until(8 * SECOND_US);
+        assert_eq!(swarm.alive_workers(), vec!["A", "B", "C"]);
+        assert_eq!(swarm.epoch(), 2, "the returning master deploys on C");
+        assert_eq!(hosts_of(&swarm, "work"), vec!["B", "C"]);
+    }
+
+    #[test]
+    fn deferred_membership_events_replay_in_arrival_order() {
+        // B (the sole operator host) dies and C arrives while the master
+        // is away. Back, it evicts B first — "work" falls to A, the only
+        // member it knows — and only then admits C.
+        let mut swarm = SimSwarm::start(
+            graph(),
+            vec![("A".into(), registry(u64::MAX)), ("B".into(), registry(0))],
+            config(23, 0.0),
+        )
+        .unwrap();
+        swarm.master_outage(2 * SECOND_US, 8 * SECOND_US);
+        assert!(swarm.crash_worker_at("B", 3 * SECOND_US));
+        swarm.add_worker_at("C", registry(0), 5 * SECOND_US);
+        swarm.run_for(10 * SECOND_US);
+        assert_eq!(swarm.epoch(), 3);
+        assert_eq!(hosts_of(&swarm, "work"), vec!["A", "C"]);
+    }
+
+    #[test]
+    fn a_crashed_worker_stays_a_host_until_its_eviction() {
+        // B and C host "work" and die half a second apart. The master
+        // learns of each death one detection delay later: evicting B it
+        // still counts on C, so "work" comes back (on A) only with C's
+        // eviction — as a live master, which cannot see a crash, would.
+        let mut swarm = SimSwarm::start(
+            graph(),
+            vec![
+                ("A".into(), registry(u64::MAX)),
+                ("B".into(), registry(0)),
+                ("C".into(), registry(0)),
+            ],
+            config(24, 0.0),
+        )
+        .unwrap();
+        let delay = swarm.config.eviction_delay_us;
+        assert!(swarm.crash_worker_at("B", 4 * SECOND_US));
+        assert!(swarm.crash_worker_at("C", 4 * SECOND_US + SECOND_US / 2));
+        swarm.run_until(4 * SECOND_US + delay);
+        assert_eq!(swarm.epoch(), 2, "B evicted");
+        assert!(hosts_of(&swarm, "work").is_empty());
+        swarm.run_until(4 * SECOND_US + SECOND_US / 2 + delay);
+        assert_eq!(swarm.epoch(), 3, "C evicted");
+        assert_eq!(hosts_of(&swarm, "work"), vec!["A"]);
+    }
+
+    #[test]
+    fn a_unit_placed_on_a_crashed_worker_moves_on_at_its_eviction() {
+        // One "work" replica, on B. B dies, then C; evicting B the
+        // master slides the replica to C, which never hears of it; C's
+        // own eviction slides it on to D.
+        let mut g = graph();
+        g.set_parallelism(g.stage_by_name("work").unwrap(), 1)
+            .unwrap();
+        let names = ["A", "B", "C", "D"];
+        let roster = names.map(|n| (n.to_string(), registry(u64::MAX)));
+        let mut swarm = SimSwarm::start(g, roster.into(), config(25, 0.0)).unwrap();
+        assert_eq!(hosts_of(&swarm, "work"), vec!["B"]);
+        assert!(swarm.crash_worker_at("B", 4 * SECOND_US));
+        assert!(swarm.crash_worker_at("C", 4 * SECOND_US + SECOND_US / 5));
+        swarm.run_for(10 * SECOND_US);
+        assert_eq!(swarm.epoch(), 3);
+        assert_eq!(hosts_of(&swarm, "work"), vec!["D"]);
+        let work: Vec<_> = (swarm.placements().into_iter())
+            .filter(|(_, stage, _)| stage == "work")
+            .map(|(unit, _, worker)| (unit.0, worker))
+            .collect();
+        let expected = [(1, "B"), (3, "C"), (4, "D")].map(|(u, w)| (u, w.to_string()));
+        assert_eq!(work, expected, "unit 3 went to C, which never ran it");
+        let before = swarm.telemetry().snapshot().counter_total(tn::SINK_PLAYED);
+        swarm.run_for(5 * SECOND_US);
+        let after = swarm.telemetry().snapshot().counter_total(tn::SINK_PLAYED);
+        assert!(after - before > 100, "the stream flows through D");
     }
 
     #[test]

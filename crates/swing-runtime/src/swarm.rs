@@ -266,6 +266,12 @@ impl LocalSwarmBuilder {
                 registry,
                 node_config.clone(),
             )?);
+            // Workers join in the order given (the first hosts source
+            // and sink), whatever order the fabric would have delivered
+            // their `Join`s in.
+            if !(master.status()).wait_admitted(nodes.len(), Duration::from_secs(10)) {
+                return Err(Error::DiscoveryTimeout);
+            }
         }
         if !master.status().wait_started(Duration::from_secs(10)) {
             return Err(Error::DiscoveryTimeout);

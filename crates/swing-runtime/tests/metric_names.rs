@@ -65,13 +65,14 @@ fn stamp_kinds(
     events.iter().map(kind).collect()
 }
 
-/// Names only the simulator exports: its control plane is folded into
-/// the event loop, so the epoch and failover series a live *master*
-/// process owns (and an in-proc swarm never exercises without a crash)
-/// are registered up front; the gateway tap belongs to the federation
-/// tier, which has no live counterpart yet. The simulated radio's byte
-/// counter and the device/battery gauges appear only with device
-/// descriptions or the energy model, neither used here.
+/// Names only the simulator exports. Both engines drive the one control
+/// plane (`control.rs`), but only `SimSwarm` publishes what it decides
+/// as series — the epoch gauge and the failover counters, registered up
+/// front; a live master exposes its epoch through `MasterStatus::epoch()`
+/// and has no gauge yet (ROADMAP 7). The gateway tap belongs to the
+/// federation tier, which has no live counterpart. The simulated
+/// radio's byte counter and the device/battery gauges appear only with
+/// device descriptions or the energy model, neither used here.
 const SIM_ONLY: &[&str] = &[
     tn::MASTER_EPOCH,
     tn::FAILOVER_REPLACED_UNITS,
