@@ -1,9 +1,10 @@
 //! # swing-bench
 //!
 //! The reproduction harness: one bench target per table and figure of
-//! the paper's evaluation, each regenerating the corresponding rows or
-//! series from the simulator (`swing-sim`), plus Criterion micro-benches
-//! of the core primitives.
+//! the paper's evaluation (plus the ablations and the two extensions),
+//! each regenerating the corresponding rows or series from the
+//! simulator (`swing-sim`). Nothing here times code: what a layer costs
+//! is measured by `swing-benchmark`.
 //!
 //! Run everything with `cargo bench -p swing-bench`; run one figure with
 //! e.g. `cargo bench -p swing-bench --bench fig4_policies`. The text

@@ -3,7 +3,6 @@
 use crate::error::{Error, Result};
 use crate::routing::Policy;
 use crate::{timing, SECOND_US};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`Router`](crate::routing::Router) — one per
 /// upstream function unit.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// in our implementation" (§V-A), latency is a moving average (§V-B), and
 /// upstreams "switch periodically every few rounds to round robin mode for
 /// a short time" to refresh estimates of unselected downstreams.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Which routing policy to run (LRS, or one of the four baselines).
     pub policy: Policy,
@@ -134,7 +133,7 @@ impl Default for RouterConfig {
 /// On expiry the tuple is re-routed (bounded retries, exponential
 /// backoff); receivers deduplicate by sequence number so each stage still
 /// executes a tuple at most once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryConfig {
     /// Master switch. Disabled reproduces the paper prototype's
     /// fire-and-forget dispatch (in-flight tuples on broken links are
@@ -226,7 +225,7 @@ impl Default for RetryConfig {
 }
 
 /// Configuration of the sink-side reordering service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReorderConfig {
     /// How long a tuple may wait for earlier-sequence stragglers before
     /// playback skips them. The paper sizes the buffer as a "timespan of

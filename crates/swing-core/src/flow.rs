@@ -41,11 +41,10 @@
 //! Mailboxes protect operators; admission protects sources.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What a full mailbox does with the next incoming tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverloadPolicy {
     /// Never shed on the receiver side; rely on credit back-pressure to
     /// pause the source. With credits sized to the mailbox capacity a
@@ -79,7 +78,7 @@ impl OverloadPolicy {
 /// gate, exactly the seed build's behavior — so existing deployments
 /// and the A/B baseline arm are unaffected. [`FlowConfig::bounded`]
 /// turns everything on with one capacity knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Master switch. Disabled reproduces unbounded seed behavior.
     pub enabled: bool,

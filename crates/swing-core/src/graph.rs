@@ -10,14 +10,11 @@
 use crate::error::{Error, Result};
 use crate::tuple::TupleSchema;
 use crate::{DeviceId, UnitId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identifier of a logical stage (vertex) of an [`AppGraph`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StageId(pub u32);
 
 impl fmt::Display for StageId {
@@ -27,7 +24,7 @@ impl fmt::Display for StageId {
 }
 
 /// The role a stage plays in the dataflow graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// A unit without upstreams that senses data and generates tuples.
     Source,
@@ -48,7 +45,7 @@ impl fmt::Display for Role {
 }
 
 /// Static description of one stage of the application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Human-readable stage name, unique within the graph.
     pub name: String,
@@ -64,7 +61,7 @@ pub struct StageSpec {
 
 /// How tuples crossing an edge are distributed over the downstream
 /// stage's instances.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum EdgeKind {
     /// Every downstream replica is a candidate; LRS (or the configured
     /// policy) picks one per tuple. Today's behavior and the default.
@@ -90,7 +87,7 @@ impl fmt::Display for EdgeKind {
 }
 
 /// One directed edge of the dataflow graph, with its distribution kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeSpec {
     /// Upstream stage.
     pub from: StageId,
@@ -117,7 +114,7 @@ pub struct EdgeSpec {
 /// g.validate().unwrap();
 /// assert_eq!(g.topo_order().unwrap(), vec![cam, det, rec, dsp]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppGraph {
     name: String,
     stages: Vec<StageSpec>,
@@ -512,7 +509,7 @@ impl AppGraph {
 /// Assignment of stage replicas to devices, produced at deployment time
 /// (paper §IV-B step 3: "the master deploys the app dataflow graph by
 /// assigning function units and connecting devices").
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Deployment {
     next_unit: u32,
     /// instance id -> (stage, device)

@@ -1,6 +1,5 @@
 //! Strongly-typed identifiers shared across the Swing crates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a deployed function-unit *instance*.
@@ -8,9 +7,7 @@ use std::fmt;
 /// A logical stage of the application graph (e.g. `recognize`) may be
 /// replicated on several devices; each replica gets its own `UnitId`.
 /// Upstream routing tables are keyed by these instance ids.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UnitId(pub u32);
 
 impl fmt::Display for UnitId {
@@ -30,9 +27,7 @@ impl From<u32> for UnitId {
 /// In the paper's testbed these are the phones `A` through `I`; the
 /// [`Display`](fmt::Display) impl uses the same letters for the first 26
 /// ids to keep experiment output readable.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -55,9 +50,7 @@ impl From<u32> for DeviceId {
 ///
 /// Used by the sink-side [reordering service](crate::reorder) to restore
 /// the order in which tuples were sensed.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNo(pub u64);
 
 impl SeqNo {

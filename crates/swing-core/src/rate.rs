@@ -5,10 +5,8 @@
 //! the shared microsecond timebase, avoiding cumulative rounding drift,
 //! and supports mid-stream rate changes (Fig. 2 varies the input rate).
 
-use serde::{Deserialize, Serialize};
-
 /// Deadline generator for a fixed-rate source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pacer {
     /// Emission interval in microseconds (fractional for exactness).
     interval_us: f64,

@@ -11,12 +11,11 @@ use crate::routing::vitals::{
     CorrelatedSubset, CrowdioResched, DelayRatio, DelaySelection, EnergyWeightedLrs, RoundRobin,
     SelectionPolicy,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Which delay estimate drives the routing weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Total end-to-end latency `L` (network + queuing + processing).
     Latency,
@@ -42,7 +41,7 @@ pub enum Metric {
 /// stream processors, making it the paper's headline baseline. The last
 /// three go beyond the paper: they read the per-worker
 /// [`WorkerVitals`](crate::routing::WorkerVitals) energy fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Round-robin: each tuple to the next downstream in turn.
     Rr,

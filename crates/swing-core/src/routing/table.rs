@@ -9,10 +9,9 @@
 use crate::error::{Error, Result};
 use crate::rng::DetRng;
 use crate::UnitId;
-use serde::{Deserialize, Serialize};
 
 /// One row of the routing table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteEntry {
     /// Downstream function-unit instance.
     pub unit: UnitId,
@@ -23,7 +22,7 @@ pub struct RouteEntry {
 }
 
 /// Routing table: downstream ids, normalized weights, selection flags.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutingTable {
     entries: Vec<RouteEntry>,
 }

@@ -2,14 +2,13 @@
 //! averages for latency estimates and a sliding-window rate estimator for
 //! the incoming tuple rate `Λ`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Exponentially-weighted moving average.
 ///
 /// `alpha` is the weight of the newest sample; `alpha = 1.0` tracks the
 /// last sample exactly, small alphas smooth heavily.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -54,7 +53,7 @@ impl Ewma {
 /// The paper estimates `L_i` "as a moving average of latency estimates"
 /// (§V-B); a bounded window makes the estimate track mobility-induced
 /// changes within a few samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingAvg {
     capacity: usize,
     window: VecDeque<f64>,
@@ -126,7 +125,7 @@ impl MovingAvg {
 /// window full of multi-second samples, and a count-bounded average
 /// would keep it unattractive long after its link recovered. Aging the
 /// samples caps that memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedAvg {
     capacity: usize,
     max_age_us: u64,
@@ -192,7 +191,7 @@ impl TimedAvg {
 ///
 /// Used by each upstream unit to measure "the total rate of its incoming
 /// data tuples Λ" (§V-A).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateEstimator {
     window_us: u64,
     events: VecDeque<u64>,
@@ -244,7 +243,7 @@ impl RateEstimator {
 
 /// Running summary (min / max / mean / variance) over a stream of samples,
 /// used to report the latency statistics shown in the paper's Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -352,7 +351,7 @@ impl Summary {
 /// with a deterministic internal counter-based PRNG, so identical
 /// streams give identical percentiles). Suitable for the latency
 /// distributions reported alongside [`Summary`] statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reservoir {
     capacity: usize,
     seen: u64,

@@ -11,7 +11,6 @@
 use crate::error::{Error, Result};
 use crate::payload::SharedBytes;
 use crate::SeqNo;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,7 +40,7 @@ pub enum Value {
 }
 
 /// The kind (discriminant) of a [`Value`], used for schema declarations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ValueKind {
     /// Raw bytes.
@@ -534,7 +533,7 @@ impl Tuple {
 ///
 /// Mirrors the paper's "define tuple structure" step. Schemas are advisory:
 /// units can check incoming tuples against them with [`TupleSchema::check`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TupleSchema {
     fields: Vec<(String, ValueKind)>,
 }

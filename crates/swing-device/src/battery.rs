@@ -6,10 +6,8 @@
 //! computation" (§I). [`Battery`] integrates a power draw over time and
 //! answers lifetime questions so experiments can reproduce that estimate.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple energy store drained by a power draw.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity_j: f64,
     remaining_j: f64,

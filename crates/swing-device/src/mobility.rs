@@ -12,11 +12,10 @@
 //! workloads whose tuples carry GPS coordinates (e.g. the spatial
 //! aggregation app). Same seed, same trace — byte-identical replays.
 
-use serde::{Deserialize, Serialize};
 use swing_core::DetRng;
 
 /// The signal-strength zones used in the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalZone {
     /// Next to the access point: RSSI > -30 dBm (Fig. 10's first zone).
     Good,
@@ -62,7 +61,7 @@ impl SignalZone {
 
 /// A piecewise-constant RSSI trace: the device holds each signal level
 /// until the next waypoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityTrace {
     /// (time_us, rssi_dbm) waypoints, sorted by time; the first applies
     /// from t = 0.

@@ -9,10 +9,9 @@
 //! rate. [`PowerModel`] implements exactly that interpolation.
 
 use crate::profile::DeviceProfile;
-use serde::{Deserialize, Serialize};
 
 /// Utilization-interpolated power estimator for one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// App-attributable CPU power at 100% utilization, watts.
     pub peak_cpu_w: f64,
@@ -67,7 +66,7 @@ impl PowerModel {
 
 /// Per-device energy ledger accumulated over an experiment, split into
 /// the CPU and Wi-Fi components shown in Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyLedger {
     /// CPU energy, joules.
     pub cpu_j: f64,

@@ -7,10 +7,8 @@
 //! translation is roughly twice as heavy per frame as the face pipeline
 //! in the open-source apps the paper uses).
 
-use serde::{Deserialize, Serialize};
-
 /// The sensing workload a device executes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Workload {
     /// OpenCV-style face detection + recognition over 6.0 kB video frames.
@@ -49,7 +47,7 @@ pub const VOICE_TO_FACE_RATIO: f64 = 2.2;
 pub const REFERENCE_FACE_MS: f64 = 71.3;
 
 /// Static performance and energy profile of one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Testbed letter ("A".."I") or any short name.
     pub name: String,

@@ -16,10 +16,9 @@
 //! of Fig. 2 without diverging.
 
 use crate::mobility::SignalZone;
-use serde::{Deserialize, Serialize};
 
 /// Link parameters derived from signal strength.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQuality {
     /// Application-level goodput, bytes per second.
     pub goodput_bps: f64,

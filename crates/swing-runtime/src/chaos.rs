@@ -21,11 +21,11 @@
 
 use crate::clock::global_clock;
 use crate::fabric::MsgSender;
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use swing_core::clock::ClockHandle;
 use swing_core::rng::DetRng;
@@ -200,11 +200,10 @@ impl ChaosShared {
     }
 
     fn is_severed(&self, addr: &str) -> bool {
-        if self.partitions.lock().contains(addr) {
+        if lock(&self.partitions).contains(addr) {
             return true;
         }
-        self.crashes
-            .lock()
+        lock(&self.crashes)
             .get(addr)
             .is_some_and(|&at| self.clock.now_us() >= at)
     }
@@ -225,19 +224,19 @@ impl ChaosControl {
     /// Swallow all traffic toward `addr` (control plane included) until
     /// [`heal`](Self::heal) or [`unpartition`](Self::unpartition).
     pub fn partition(&self, addr: impl Into<String>) {
-        self.shared.partitions.lock().insert(addr.into());
+        lock(&self.shared.partitions).insert(addr.into());
     }
 
     /// Lift a partition.
     pub fn unpartition(&self, addr: &str) {
-        self.shared.partitions.lock().remove(addr);
+        lock(&self.shared.partitions).remove(addr);
     }
 
     /// Black-hole all traffic toward `addr` from absolute clock time
     /// `at_us` (on the fabric's injected clock) onward — a scheduled
     /// crash.
     pub fn crash_at(&self, addr: impl Into<String>, at_us: u64) {
-        self.shared.crashes.lock().insert(addr.into(), at_us);
+        lock(&self.shared.crashes).insert(addr.into(), at_us);
     }
 
     /// Black-hole all traffic toward `addr` starting `delay` from now.
@@ -247,8 +246,8 @@ impl ChaosControl {
 
     /// Lift every partition and cancel every scheduled crash.
     pub fn heal(&self) {
-        self.shared.partitions.lock().clear();
-        self.shared.crashes.lock().clear();
+        lock(&self.shared.partitions).clear();
+        lock(&self.shared.crashes).clear();
     }
 
     /// Snapshot of the injected-fault counters.

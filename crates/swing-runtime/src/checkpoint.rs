@@ -12,8 +12,9 @@
 //! derive. Unknown versions and malformed records are rejected loudly —
 //! a master that cannot trust its checkpoint must cold-start instead.
 
+use crate::lock;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use swing_core::graph::StageId;
 use swing_core::{DeviceId, UnitId};
 
@@ -36,7 +37,7 @@ pub type StoreHandle = Arc<dyn CheckpointStore>;
 /// sim and the kill/recover tests), not a process crash.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryCheckpoint {
-    slot: Arc<parking_lot::Mutex<Option<Vec<u8>>>>,
+    slot: Arc<Mutex<Option<Vec<u8>>>>,
 }
 
 impl MemoryCheckpoint {
@@ -55,11 +56,11 @@ impl MemoryCheckpoint {
 
 impl CheckpointStore for MemoryCheckpoint {
     fn save(&self, bytes: &[u8]) {
-        *self.slot.lock() = Some(bytes.to_vec());
+        *lock(&self.slot) = Some(bytes.to_vec());
     }
 
     fn load(&self) -> Option<Vec<u8>> {
-        self.slot.lock().clone()
+        lock(&self.slot).clone()
     }
 }
 

@@ -26,9 +26,9 @@
 use crate::executor::{DeliveryStats, ExecMsg, ExecProbe, NodeConfig};
 use crate::fabric::MsgSender;
 use crate::inflight::InflightTable;
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use swing_core::clock::ClockHandle;
 use swing_core::config::RetryConfig;
@@ -741,7 +741,7 @@ impl Dispatcher {
             router,
             delivery: self.delivery(),
         };
-        *self.probe.lock() = Some(snap);
+        *lock(&self.probe) = Some(snap);
     }
 
     /// Publish if the freshness deadline passed, so observers see live

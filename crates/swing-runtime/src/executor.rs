@@ -40,10 +40,10 @@
 use crate::clock::global_clock;
 use crate::dispatch::Dispatcher;
 use crate::fabric::MsgSender;
+use crate::lock;
 use crate::machine::UnitMachine;
 use crate::registry::AnyUnit;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use swing_core::clock::ClockHandle;
@@ -247,7 +247,7 @@ pub struct SinkReport {
 
 impl SinkMeter {
     pub(crate) fn record(&self, latency_ms: Option<f64>, now: u64) {
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         m.consumed += 1;
         if let Some(l) = latency_ms {
             m.latency_ms.update(l);
@@ -259,7 +259,7 @@ impl SinkMeter {
     }
 
     pub(crate) fn set_reorder_counts(&self, skipped: u64, stale: u64) {
-        let mut m = self.inner.lock();
+        let mut m = lock(&self.inner);
         m.skipped = skipped;
         m.stale = stale;
     }
@@ -267,7 +267,7 @@ impl SinkMeter {
     /// Snapshot the current statistics.
     #[must_use]
     pub fn report(&self) -> SinkReport {
-        let m = self.inner.lock().clone();
+        let m = lock(&self.inner).clone();
         let throughput = match (m.first_us, m.last_us) {
             (Some(a), Some(b)) if b > a => m.consumed as f64 * 1_000_000.0 / (b - a) as f64,
             _ => 0.0,
@@ -304,13 +304,13 @@ impl ExecHandle {
     /// that never dispatched.
     #[must_use]
     pub fn router_snapshot(&self) -> Option<RouterSnapshot> {
-        self.probe.lock().as_ref().map(|p| p.router.clone())
+        lock(&self.probe).as_ref().map(|p| p.router.clone())
     }
 
     /// The most recent delivery counters published by this executor.
     #[must_use]
     pub fn delivery_stats(&self) -> Option<DeliveryStats> {
-        self.probe.lock().as_ref().map(|p| p.delivery)
+        lock(&self.probe).as_ref().map(|p| p.delivery)
     }
 
     /// Shared handle to this executor's probe slot (for the node's

@@ -11,12 +11,12 @@
 //! transport-agnostic.
 
 use crate::chaos::{ChaosControl, ChaosShared, FaultPlan};
+use crate::lock;
 use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use swing_core::{Error, Result};
 use swing_net::Message;
 use swing_reactor::{Delivery, Reactor, ReactorConfig, ReactorHandle};
@@ -38,7 +38,7 @@ pub struct InProcNet {
 impl fmt::Debug for InProcNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("InProcNet")
-            .field("endpoints", &self.endpoints.lock().len())
+            .field("endpoints", &lock(&self.endpoints).len())
             .finish()
     }
 }
@@ -145,7 +145,7 @@ impl Fabric {
                 let (tx, rx) = unbounded();
                 let id = net.next_id.fetch_add(1, Ordering::Relaxed);
                 let addr = format!("inproc:{id}");
-                net.endpoints.lock().insert(addr.clone(), tx.into());
+                lock(&net.endpoints).insert(addr.clone(), tx.into());
                 Ok((addr, rx))
             }
             Fabric::Reactor(net) => {
@@ -166,7 +166,7 @@ impl Fabric {
     /// the peer goes away; callers treat that as a broken link.
     pub fn dial(&self, addr: &str) -> Result<MsgSender> {
         match self {
-            Fabric::InProc(net) => net.endpoints.lock().get(addr).cloned().ok_or_else(|| {
+            Fabric::InProc(net) => lock(&net.endpoints).get(addr).cloned().ok_or_else(|| {
                 Error::io(std::io::Error::new(
                     std::io::ErrorKind::NotFound,
                     format!("no in-proc endpoint at {addr}"),

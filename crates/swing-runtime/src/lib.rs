@@ -76,3 +76,21 @@ pub use node::WorkerNode;
 pub use registry::{AnyUnit, UnitRegistry};
 pub use sim::{SimFabric, SimLinkConfig, SimSwarm, SimSwarmConfig, WorkerSpec};
 pub use swarm::{LocalSwarm, LocalSwarmBuilder};
+
+/// Lock `m` whether or not a holder panicked: every value this crate
+/// keeps behind a mutex (a map, a counter pair, a snapshot slot) is
+/// valid between any two statements of its holders, so poisoning tells
+/// a reader nothing.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn lock_hands_back_the_guard_after_a_panicked_holder() {
+        let m = std::sync::Mutex::new(7);
+        let holder = std::thread::scope(|s| s.spawn(|| panic!("{}", m.lock().unwrap())).join());
+        assert!(holder.is_err() && m.is_poisoned() && *super::lock(&m) == 7);
+    }
+}

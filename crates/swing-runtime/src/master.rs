@@ -9,10 +9,10 @@
 use crate::checkpoint::{MasterCheckpoint, StoreHandle};
 use crate::control::{Command, ControlPlane};
 use crate::fabric::{Fabric, MsgSender};
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use swing_core::clock::ClockHandle;
@@ -155,10 +155,9 @@ impl std::fmt::Debug for MasterConfig {
 /// Shared view of the master's progress.
 #[derive(Debug, Default)]
 pub struct MasterStatus {
-    // std, not parking_lot: the pair must come with a condvar.
     /// `(started, workers admitted so far)`.
-    progress: std::sync::Mutex<(bool, usize)>,
-    progress_changed: std::sync::Condvar,
+    progress: Mutex<(bool, usize)>,
+    progress_changed: Condvar,
     deployment: Mutex<Deployment>,
     epoch: AtomicU64,
     dead_workers: Mutex<Vec<String>>,
@@ -169,7 +168,7 @@ impl MasterStatus {
     /// Whether Start has been broadcast.
     #[must_use]
     pub fn started(&self) -> bool {
-        self.progress().0
+        lock(&self.progress).0
     }
 
     /// Block until Start has been broadcast, for at most `timeout`.
@@ -188,27 +187,20 @@ impl MasterStatus {
     fn wait(&self, timeout: Duration, done: impl Fn(&(bool, usize)) -> bool) -> (bool, usize) {
         let (progress, _) = self
             .progress_changed
-            .wait_timeout_while(self.progress(), timeout, |p| !done(p))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .wait_timeout_while(lock(&self.progress), timeout, |p| !done(p))
+            .unwrap_or_else(PoisonError::into_inner);
         *progress
     }
 
     fn set_progress(&self, started: bool, admitted: usize) {
-        *self.progress() = (started, admitted);
+        *lock(&self.progress) = (started, admitted);
         self.progress_changed.notify_all();
-    }
-
-    fn progress(&self) -> std::sync::MutexGuard<'_, (bool, usize)> {
-        // The pair is valid whatever a panicking holder was doing.
-        self.progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Snapshot of the current deployment.
     #[must_use]
     pub fn deployment(&self) -> Deployment {
-        self.deployment.lock().clone()
+        lock(&self.deployment).clone()
     }
 
     /// The current deployment epoch. Bumped on every topology-changing
@@ -223,7 +215,7 @@ impl MasterStatus {
     /// prune, or failure to re-announce after recovery), oldest first.
     #[must_use]
     pub fn dead_workers(&self) -> Vec<String> {
-        self.dead_workers.lock().clone()
+        lock(&self.dead_workers).clone()
     }
 
     /// Times each unit was sent an Activate. Recovery that adopts a
@@ -231,7 +223,7 @@ impl MasterStatus {
     /// asserts healthy units stay at one deploy.
     #[must_use]
     pub fn deploy_counts(&self) -> BTreeMap<UnitId, u64> {
-        self.deploys.lock().clone()
+        lock(&self.deploys).clone()
     }
 }
 
@@ -566,7 +558,7 @@ impl MasterState {
             return;
         };
         self.peers.remove(&device);
-        self.status.dead_workers.lock().push(name);
+        lock(&self.status.dead_workers).push(name);
         self.carry_out(wave);
         self.publish();
     }
@@ -646,7 +638,7 @@ impl MasterState {
                         epoch,
                     };
                     if send(self.peers.get(&device), msg) {
-                        *self.status.deploys.lock().entry(unit).or_insert(0) += 1;
+                        *lock(&self.status.deploys).entry(unit).or_insert(0) += 1;
                     }
                 }
                 // Tell the upstream's node how to reach the downstream,
@@ -696,7 +688,7 @@ impl MasterState {
     /// handled membership event. Progress goes last: whoever
     /// [`MasterStatus::wait_started`] wakes finds the deployment there.
     fn publish(&self) {
-        *self.status.deployment.lock() = self.plane.deployment().clone();
+        *lock(&self.status.deployment) = self.plane.deployment().clone();
         self.status
             .epoch
             .store(self.plane.epoch(), Ordering::SeqCst);

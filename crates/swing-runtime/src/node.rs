@@ -8,10 +8,10 @@ use crate::executor::{
     spawn, DeliveryStats, ExecHandle, ExecMsg, ExecProbe, NodeConfig, SinkMeter,
 };
 use crate::fabric::{Fabric, MsgSender};
+use crate::lock;
 use crate::registry::UnitRegistry;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use swing_core::graph::StageId;
 use swing_core::Result;
@@ -201,8 +201,7 @@ impl WorkerNode {
     /// unit id.
     #[must_use]
     pub fn sink_meters(&self) -> Vec<(UnitId, Arc<SinkMeter>)> {
-        self.meters
-            .lock()
+        lock(&self.meters)
             .iter()
             .map(|(u, m)| (*u, Arc::clone(m)))
             .collect()
@@ -214,10 +213,9 @@ impl WorkerNode {
     /// stop.
     #[must_use]
     pub fn router_snapshots(&self) -> Vec<(UnitId, swing_core::routing::RouterSnapshot)> {
-        self.probes
-            .lock()
+        lock(&self.probes)
             .iter()
-            .filter_map(|(u, p)| p.lock().as_ref().map(|s| (*u, s.router.clone())))
+            .filter_map(|(u, p)| lock(p).as_ref().map(|s| (*u, s.router.clone())))
             .filter(|(_, s)| !s.routes.is_empty())
             .collect()
     }
@@ -227,10 +225,9 @@ impl WorkerNode {
     /// duplicates their dedup window suppressed).
     #[must_use]
     pub fn delivery_stats(&self) -> Vec<(UnitId, DeliveryStats)> {
-        self.probes
-            .lock()
+        lock(&self.probes)
             .iter()
-            .filter_map(|(u, p)| p.lock().as_ref().map(|s| (*u, s.delivery)))
+            .filter_map(|(u, p)| lock(p).as_ref().map(|s| (*u, s.delivery)))
             .collect()
     }
 
@@ -240,7 +237,7 @@ impl WorkerNode {
     /// every healthy unit stays at exactly one activation.
     #[must_use]
     pub fn activation_counts(&self) -> HashMap<UnitId, u64> {
-        self.activations.lock().clone()
+        lock(&self.activations).clone()
     }
 
     /// Stop the node: shuts down its executors and control loop. Peers
@@ -314,12 +311,12 @@ impl NodeState {
                 let is_sink = matches!(any, crate::registry::AnyUnit::Sink(_));
                 let (handle, meter) = spawn(unit, any, self.config.clone());
                 if is_sink {
-                    self.meters.lock().insert(unit, meter);
+                    lock(&self.meters).insert(unit, meter);
                 }
-                self.probes.lock().insert(unit, handle.probe_handle());
+                lock(&self.probes).insert(unit, handle.probe_handle());
                 self.executors.insert(unit, handle);
                 self.stages.insert(unit, stage);
-                *self.activations.lock().entry(unit).or_insert(0) += 1;
+                *lock(&self.activations).entry(unit).or_insert(0) += 1;
                 let _ = self.master.send(Message::Ready {
                     device: self.device,
                 });

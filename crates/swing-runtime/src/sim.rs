@@ -1048,7 +1048,7 @@ impl std::fmt::Debug for SimSwarm {
 
 impl SimSwarm {
     /// Deploy `graph` across the named workers — each joins the
-    /// [`ControlPlane`] the live master runs, under
+    /// `ControlPlane` the live master runs, under
     /// [`Placement::SourceOnFirst`] (source and sink on the first
     /// worker, operators replicated on the rest) — and wire every edge
     /// through a fresh [`SimFabric`] seeded from `config.seed`.

@@ -95,7 +95,7 @@ fn chaos_run(seed: u64) -> (String, String, u64, u64) {
     (json, stats, dropped, consumed)
 }
 
-/// Acceptance criterion: two runs with the same seed are
+/// Acceptance test: two runs with the same seed are
 /// bit-reproducible — byte-identical telemetry JSON, identical
 /// delivery accounting — and each covers ≥ 60 s of simulated traffic
 /// in < 1 s of wall time.

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// A station in a tuple's lifecycle.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Captured at the source (sensor read / frame generated).
     Sensed,
@@ -59,7 +59,7 @@ impl Stage {
 /// One station crossing. `seq` is the tuple's sequence number and
 /// `unit` the dataflow unit where the event happened; both are raw
 /// integers so the telemetry crate stays dependency-free.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TupleEvent {
     pub at_us: u64,
     pub seq: u64,

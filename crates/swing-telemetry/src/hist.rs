@@ -233,7 +233,7 @@ pub(crate) fn merge_sorted<'a, K: Ord + Clone + 'a, V, S>(
 /// `buckets` holds `(bucket_index, count)` pairs sorted by index, with
 /// zero-count buckets omitted. Merging adds counts bucket-wise, which
 /// makes merge exactly associative and commutative.
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,

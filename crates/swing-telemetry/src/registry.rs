@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Identity of one metric: a name plus sorted `label=value` pairs.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     pub name: String,
     pub labels: Vec<(String, String)>,
@@ -198,7 +198,7 @@ impl Registry {
 }
 
 /// One consistent view of a [`Registry`], sorted by metric key.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     pub counters: Vec<(MetricKey, u64)>,
     pub gauges: Vec<(MetricKey, f64)>,

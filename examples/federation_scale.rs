@@ -1,5 +1,5 @@
-//! Seeded federation run at configurable scale — the scale-smoke CI
-//! entry point and the 10k-device quick-start.
+//! Seeded federation run at configurable scale — the 10k-device
+//! quick-start and the by-hand phase table of DESIGN.md §5.
 //!
 //! ```text
 //! cargo run --release --example federation_scale -- \
@@ -9,8 +9,8 @@
 //! Defaults: 100 swarms × 100 workers (10 000 devices), 10 virtual
 //! seconds, seed 1, one thread per core. Prints a run summary and, when
 //! `SWING_FED_OUT` is set, writes the federated telemetry rollup JSON
-//! there — CI runs the same seed at different thread counts and diffs
-//! the files byte-for-byte.
+//! there — the same seed at different thread counts writes
+//! byte-identical files (`swing-sim/tests/federation.rs` asserts it).
 
 use std::time::Instant;
 use swing_core::SECOND_US;

@@ -20,8 +20,7 @@
 //! ```
 //!
 //! and the end-to-end p99 must hold under the storm. Results land in
-//! `BENCH_pr8_soak.json`, gated in CI by
-//! `scripts/check_bench_guard.py --pr8`.
+//! `BENCH_pr8_soak.json`, gated in CI by `scripts/check_soak.py`.
 //!
 //! Usage: `reactor_soak [--workers N] [--secs S] [--out FILE]`
 

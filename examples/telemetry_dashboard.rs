@@ -338,8 +338,9 @@ fn run_sim(app: App, policy: Policy, workers: usize, seconds: u64, seed: u64) {
 /// The federation rollup view: one row per member swarm (control-plane
 /// epoch, crew size, the shed-accounting identity, gateway traffic and
 /// tail latency), then federated totals computed from the merged
-/// snapshot — the same exactly-mergeable rollup the scale-smoke CI job
-/// diffs byte-for-byte across thread counts.
+/// snapshot — the same exactly-mergeable rollup
+/// `swing-sim/tests/federation.rs` compares byte-for-byte across thread
+/// counts.
 fn run_fed(swarms: usize, workers: usize, seconds: u64, seed: u64) {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     println!(

@@ -172,3 +172,20 @@ fn key_types_are_send_and_sync() {
     assert_send_sync::<swing::sim::tournament::TournamentConfig>();
     assert_send_sync::<swing::sim::tournament::TournamentSummary>();
 }
+
+/// The third-party dependency set is part of the surface: a derive
+/// crate with no format crate anywhere, a lock crate next to
+/// `std::sync` and a bench framework with one user each stayed for ten
+/// PRs because nothing looked.
+#[test]
+fn workspace_names_exactly_three_third_party_crates() {
+    let third_party: Vec<&str> = include_str!("../Cargo.toml")
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.dependencies]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.contains("path ="))
+        .filter_map(|l| l.split_once('=').map(|(name, _)| name.trim()))
+        .collect();
+    assert_eq!(third_party, ["crossbeam", "bytes", "proptest"]);
+}
