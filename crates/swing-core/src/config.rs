@@ -43,14 +43,6 @@ pub struct RouterConfig {
     /// On by default; turning it off reproduces a pure
     /// moving-average-of-ACKs estimator for ablation studies.
     pub pending_age_floor: bool,
-    /// Weight of queue-occupancy feedback on routing. Each rebalance
-    /// scales a downstream's effective delay by
-    /// `1 + occupancy × occupancy_penalty`, where occupancy ∈ [0, 1] is
-    /// its reported credit-window fill (see `swing_core::flow`). This
-    /// de-weights saturated workers *before* their queueing delay leaks
-    /// into the latency estimate. 0 (the default) disables the feedback
-    /// and reproduces the paper's pure latency-based weighting.
-    pub occupancy_penalty: f64,
 }
 
 impl RouterConfig {
@@ -68,7 +60,6 @@ impl RouterConfig {
             headroom: 1.0,
             sample_max_age_us: timing::SAMPLE_MAX_AGE_US,
             pending_age_floor: true,
-            occupancy_penalty: 0.0,
         }
     }
 
@@ -103,13 +94,6 @@ impl RouterConfig {
         if self.probe_every_rounds == 0 {
             return Err(Error::InvalidConfig(
                 "probe_every_rounds must be positive (use a large value to disable)".into(),
-            ));
-        }
-        // `!(x >= 0.0)` rather than `x < 0.0`: NaN must also be rejected.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(self.occupancy_penalty >= 0.0) {
-            return Err(Error::InvalidConfig(
-                "occupancy_penalty must be >= 0".into(),
             ));
         }
         Ok(())
@@ -332,14 +316,6 @@ mod tests {
             },
             RouterConfig {
                 probe_every_rounds: 0,
-                ..RouterConfig::default()
-            },
-            RouterConfig {
-                occupancy_penalty: -0.1,
-                ..RouterConfig::default()
-            },
-            RouterConfig {
-                occupancy_penalty: f64::NAN,
                 ..RouterConfig::default()
             },
         ];

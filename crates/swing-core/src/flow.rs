@@ -4,7 +4,7 @@
 //! `Σ μ_i ≥ Λ`, but when the swarm is unsatisfiable it "selects all"
 //! and queues grow without bound — queueing delay is *inside* `L_i`,
 //! so the router feeds on exactly the stale, inflating estimates that
-//! overload produces. This module supplies the three mechanisms that
+//! overload produces. This module supplies the two mechanisms that
 //! let the data plane degrade gracefully instead (the shape used by
 //! Storm's `max.spout.pending` and SEEP's flow control, both cited as
 //! baselines in the paper):
@@ -19,10 +19,6 @@
 //!    decrements one per in-flight tuple and replenishes on ACK (or on
 //!    loss/reclaim). A source whose selected set has no credits left
 //!    sheds *at capture time* — the cheapest possible point.
-//! 3. **Occupancy feedback** — per-downstream queue occupancy
-//!    (outstanding / credits) is fed back into the router, which
-//!    de-weights saturated workers before their inflated latency
-//!    estimates catch up (see `RouterConfig::occupancy_penalty`).
 //!
 //! Shedding is *accounted*, never silent. Every sensed tuple ends in
 //! exactly one of four buckets, and the identity

@@ -85,6 +85,64 @@ impl DetRng {
         tag = (tag ^ (tag >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         DetRng { state: tag }
     }
+
+    /// Any `u64` for a property test, with the boundary values
+    /// over-drawn: 0, 1 and `u64::MAX` each come up once in sixteen
+    /// draws — where overflow and off-by-one bugs live, and where a
+    /// uniform draw never lands.
+    pub fn any_u64(&mut self) -> u64 {
+        match self.next_u64() % 16 {
+            0 => 0,
+            1 => 1,
+            2 => u64::MAX,
+            _ => self.next_u64(),
+        }
+    }
+
+    /// [`any_u64`](Self::any_u64) narrowed; truncation keeps 0, 1 and
+    /// the all-ones maximum.
+    pub fn any_u32(&mut self) -> u32 {
+        self.any_u64() as u32
+    }
+
+    /// [`any_u64`](Self::any_u64) narrowed to a byte.
+    pub fn any_u8(&mut self) -> u8 {
+        self.any_u64() as u8
+    }
+}
+
+/// Check a property on `cases` generated inputs: `body` draws its input
+/// from the generator it is handed and asserts on it.
+///
+/// Every case has a seed of its own, chained from `seed`, and draws from
+/// a stream forked off it, so a case's input depends on nothing the
+/// cases before it drew. When `body` panics, the panic is raised again
+/// with the case's index and seed in front of its message; running the
+/// property with that seed and `cases = 1` replays the one failing case.
+/// There is no shrinking: the replayed input is the one that failed.
+///
+/// # Panics
+/// When `body` does, for the first case that fails.
+pub fn for_each_case(seed: u64, cases: u32, mut body: impl FnMut(&mut DetRng)) {
+    let mut case_seed = seed;
+    for case in 0..cases {
+        let mut root = DetRng::seed_from_u64(case_seed);
+        let next_seed = root.next_u64();
+        let mut rng = root.fork(0);
+        let run = std::panic::AssertUnwindSafe(|| body(&mut rng));
+        if let Err(cause) = std::panic::catch_unwind(run) {
+            let why = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("(panic payload is not a string)");
+            panic!(
+                "case {case} of {cases} from seed {seed:#x} failed: {why}\n\
+                 replay it alone: for_each_case({case_seed:#x}, 1, ..)"
+            );
+        }
+        case_seed = next_seed;
+    }
 }
 
 /// Types drawable uniformly from a range by [`DetRng::random_range`].
@@ -203,6 +261,92 @@ mod tests {
         }
         // Mean of 10k uniforms is within a few std errors of 0.5.
         assert!((sum / 10_000.0 - 0.5).abs() < 0.02);
+    }
+
+    /// The inputs of every case, as `for_each_case(seed, cases, ..)`
+    /// hands them out.
+    fn case_stream(seed: u64, cases: u32) -> Vec<[u64; 3]> {
+        let mut drawn = Vec::new();
+        for_each_case(seed, cases, |rng| {
+            drawn.push([rng.any_u64(), rng.next_u64(), rng.random_range(0..1_000)]);
+        });
+        drawn
+    }
+
+    #[test]
+    fn same_seed_gives_the_same_case_stream() {
+        let a = case_stream(0xFEED, 64);
+        assert_eq!(a, case_stream(0xFEED, 64));
+        assert_ne!(a, case_stream(0xFEEE, 64));
+        assert_eq!(a[..8], case_stream(0xFEED, 8)[..], "a prefix of cases");
+        let mut distinct = a.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 64, "cases draw from distinct streams");
+    }
+
+    /// What a failing property prints is enough to run the failing case
+    /// again by itself: its index, and a seed whose case 0 it is.
+    #[test]
+    fn failing_case_reports_its_index_and_replay_seed() {
+        let fails = |v: u64| v % 7 == 3;
+        let property = |seed: u64, cases: u32| {
+            std::panic::catch_unwind(|| {
+                for_each_case(seed, cases, |rng| {
+                    let v = rng.next_u64();
+                    assert!(!fails(v), "drew {v}");
+                });
+            })
+        };
+        let mut first_draws = Vec::new();
+        for_each_case(0xBAD, 200, |rng| first_draws.push(rng.next_u64()));
+        let first_failure = first_draws.iter().position(|&v| fails(v));
+        let cause = property(0xBAD, 200).expect_err("one case in seven fails");
+        let message = cause.downcast_ref::<String>().expect("a formatted panic");
+        let index = first_failure.expect("some case fails");
+        assert!(
+            message.starts_with(&format!(
+                "case {index} of 200 from seed 0xbad failed: drew "
+            )),
+            "{message}"
+        );
+        let replay = message
+            .rsplit("for_each_case(0x")
+            .next()
+            .and_then(|tail| tail.split(',').next())
+            .map(|hex| u64::from_str_radix(hex, 16).expect("a hex seed"))
+            .expect("a replay seed");
+        let again = property(replay, 1).expect_err("the replayed case fails too");
+        let again = again.downcast_ref::<String>().unwrap();
+        let drew = |m: &str| {
+            m.split("drew ")
+                .nth(1)
+                .unwrap()
+                .lines()
+                .next()
+                .unwrap()
+                .to_owned()
+        };
+        assert_eq!(
+            drew(message),
+            drew(again),
+            "the replay draws the same input"
+        );
+        assert!(again.starts_with("case 0 of 1 "), "{again}");
+    }
+
+    #[test]
+    fn any_integers_hit_the_boundaries() {
+        let mut rng = DetRng::seed_from_u64(5);
+        let drawn: Vec<u64> = (0..2_000).map(|_| rng.any_u64()).collect();
+        for edge in [0, 1, u64::MAX] {
+            let share = drawn.iter().filter(|&&v| v == edge).count();
+            assert!((60..200).contains(&share), "{edge}: {share} of 2000");
+        }
+        assert!(drawn.iter().filter(|&&v| v > 1 && v < u64::MAX).count() > 1_500);
+        let narrow: Vec<u8> = (0..2_000).map(|_| rng.any_u8()).collect();
+        assert!(narrow.contains(&0) && narrow.contains(&1) && narrow.contains(&u8::MAX));
+        assert!((0..2_000).any(|_| rng.any_u32() == u32::MAX));
     }
 
     #[test]

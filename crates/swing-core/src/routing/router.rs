@@ -114,8 +114,6 @@ pub struct Router {
     probe_remaining: u32,
     last_rebalance_us: Option<u64>,
     demand_hint: Option<f64>,
-    /// Latest reported queue occupancy per downstream, 0..=1.
-    occupancy: BTreeMap<UnitId, f64>,
     /// Latest reported energy/radio vitals per downstream.
     vitals: BTreeMap<UnitId, VitalsNote>,
     /// Tuples dispatched via [`route`](Self::route).
@@ -154,7 +152,6 @@ impl Router {
             probe_remaining: 0,
             last_rebalance_us: None,
             demand_hint: None,
-            occupancy: BTreeMap::new(),
             vitals: BTreeMap::new(),
             dispatched: 0,
             arrivals_noted: 0,
@@ -215,7 +212,6 @@ impl Router {
     /// as lost (the paper's prototype loses them: "13 frames are lost").
     pub fn remove_downstream(&mut self, unit: UnitId) -> Vec<SeqNo> {
         self.table.remove(unit);
-        self.occupancy.remove(&unit);
         self.vitals.remove(&unit);
         self.estimator.remove_unit(unit)
     }
@@ -235,19 +231,6 @@ impl Router {
     #[must_use]
     pub fn is_selected(&self, unit: UnitId) -> bool {
         self.table.selected_units().any(|u| u == unit)
-    }
-
-    /// Report a downstream's queue occupancy (0 = idle, 1 = its credit
-    /// window or mailbox is full). Values are clamped to `[0, 1]`; NaN
-    /// is ignored. The next rebalance scales the unit's effective delay
-    /// by `1 + occupancy × occupancy_penalty` (see
-    /// [`RouterConfig::occupancy_penalty`]), steering traffic away from
-    /// saturated workers before their latency estimates inflate.
-    pub fn note_occupancy(&mut self, unit: UnitId, occupancy: f64) {
-        if occupancy.is_nan() {
-            return;
-        }
-        self.occupancy.insert(unit, occupancy.clamp(0.0, 1.0));
     }
 
     /// Report a downstream's energy/radio vitals: remaining battery
@@ -422,12 +405,9 @@ impl Router {
 
         let metric = self.policy_impl.metric();
 
-        // Gather vitals for every downstream in the table. A positive
-        // occupancy_penalty inflates the effective delay of workers with
-        // full credit windows, de-weighting them ahead of the (laggier)
-        // latency signal. Energy fields come from the latest
-        // `note_vitals` report; unreported workers count as healthy.
-        let penalty = self.config.occupancy_penalty;
+        // Gather vitals for every downstream in the table. Energy
+        // fields come from the latest `note_vitals` report; unreported
+        // workers count as healthy.
         let vitals: Vec<WorkerVitals> = self
             .table
             .units()
@@ -437,15 +417,10 @@ impl Router {
                     Metric::Latency => v.latency_us,
                     Metric::Processing => v.processing_us,
                 };
-                let occ = if penalty > 0.0 {
-                    self.occupancy.get(&v.unit).copied().unwrap_or(0.0)
-                } else {
-                    0.0
-                };
                 let note = self.vitals.get(&v.unit).copied().unwrap_or_default();
                 WorkerVitals {
                     unit: v.unit,
-                    latency_us: d.max(1.0) * (1.0 + occ * penalty),
+                    latency_us: d.max(1.0),
                     battery_frac: note.battery_frac,
                     drain_w: note.drain_w,
                     rssi_dbm: note.rssi_dbm,
@@ -771,61 +746,6 @@ mod tests {
             Some(500_000.0),
             "pending-age floor should dominate the 30 ms average"
         );
-    }
-
-    #[test]
-    fn occupancy_penalty_deweights_saturated_workers() {
-        let mut cfg = RouterConfig::new(Policy::Lr);
-        cfg.occupancy_penalty = 4.0;
-        let mut r = Router::new(cfg, 11);
-        r.add_downstream(u(1), 0);
-        r.add_downstream(u(2), 0);
-        // Identical measured latency, but unit 2 reports a full queue.
-        for i in 0..100u64 {
-            let now = i * 10_000;
-            let dest = r.route(now).unwrap();
-            r.on_send(SeqNo(i), dest, now);
-            r.on_ack(SeqNo(i), now + 40_000, 20_000);
-        }
-        r.note_occupancy(u(2), 1.0);
-        r.rebalance(2 * SECOND_US);
-        let snap = r.snapshot(2 * SECOND_US);
-        let w1 = snap.routes.iter().find(|v| v.unit == u(1)).unwrap().weight;
-        let w2 = snap.routes.iter().find(|v| v.unit == u(2)).unwrap().weight;
-        // Effective delay of unit 2 is 5x, so weight should be ~1/5th.
-        assert!(
-            w1 > w2 * 3.0,
-            "occupancy feedback should de-weight the saturated unit: w1={w1} w2={w2}"
-        );
-        // Without the penalty, the same occupancy report changes nothing.
-        let mut r2 = Router::new(RouterConfig::new(Policy::Lr), 11);
-        r2.add_downstream(u(1), 0);
-        r2.add_downstream(u(2), 0);
-        for i in 0..100u64 {
-            let now = i * 10_000;
-            let dest = r2.route(now).unwrap();
-            r2.on_send(SeqNo(i), dest, now);
-            r2.on_ack(SeqNo(i), now + 40_000, 20_000);
-        }
-        r2.note_occupancy(u(2), 1.0);
-        r2.rebalance(2 * SECOND_US);
-        let snap = r2.snapshot(2 * SECOND_US);
-        let w1 = snap.routes.iter().find(|v| v.unit == u(1)).unwrap().weight;
-        let w2 = snap.routes.iter().find(|v| v.unit == u(2)).unwrap().weight;
-        assert!((w1 - w2).abs() < 0.2, "penalty 0 must ignore occupancy");
-    }
-
-    #[test]
-    fn occupancy_reports_clamp_and_clear_on_leave() {
-        let mut cfg = RouterConfig::new(Policy::Lr);
-        cfg.occupancy_penalty = 10.0;
-        let mut r = Router::new(cfg, 12);
-        r.add_downstream(u(1), 0);
-        r.note_occupancy(u(1), 7.5); // clamped to 1.0
-        r.note_occupancy(u(1), f64::NAN); // ignored, keeps 1.0
-        assert_eq!(r.occupancy.get(&u(1)), Some(&1.0));
-        r.remove_downstream(u(1));
-        assert!(r.occupancy.is_empty());
     }
 
     #[test]

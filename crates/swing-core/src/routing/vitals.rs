@@ -26,7 +26,7 @@ use crate::UnitId;
 /// Everything a [`SelectionPolicy`] may read about one downstream worker
 /// at re-selection time.
 ///
-/// `latency_us` is the router's occupancy-penalized delay estimate under
+/// `latency_us` is the router's delay estimate under
 /// the policy's [`metric`](SelectionPolicy::metric) — exactly the figure
 /// classic LRS inverts into a service rate. The energy and radio fields
 /// default to a healthy mains-powered device (`battery_frac = 1`,
@@ -36,8 +36,7 @@ use crate::UnitId;
 pub struct WorkerVitals {
     /// Downstream function-unit instance.
     pub unit: UnitId,
-    /// Effective delay estimate, microseconds (occupancy-penalized,
-    /// floored at 1 µs).
+    /// Delay estimate, microseconds (floored at 1 µs).
     pub latency_us: f64,
     /// Remaining battery charge, 0..=1. Mains-powered / unreported
     /// workers sit at 1.

@@ -4,118 +4,6 @@
 
 use std::collections::VecDeque;
 
-/// Exponentially-weighted moving average.
-///
-/// `alpha` is the weight of the newest sample; `alpha = 1.0` tracks the
-/// last sample exactly, small alphas smooth heavily.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create an EWMA with the given smoothing factor in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in one sample.
-    pub fn update(&mut self, sample: f64) {
-        self.value = Some(match self.value {
-            None => sample,
-            Some(v) => v + self.alpha * (sample - v),
-        });
-    }
-
-    /// Current average, or `None` before the first sample.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forget all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Arithmetic mean over the last `capacity` samples.
-///
-/// The paper estimates `L_i` "as a moving average of latency estimates"
-/// (§V-B); a bounded window makes the estimate track mobility-induced
-/// changes within a few samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MovingAvg {
-    capacity: usize,
-    window: VecDeque<f64>,
-    sum: f64,
-}
-
-impl MovingAvg {
-    /// Create a moving average over the last `capacity` samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "moving average window must be non-empty");
-        MovingAvg {
-            capacity,
-            window: VecDeque::with_capacity(capacity),
-            sum: 0.0,
-        }
-    }
-
-    /// Fold in one sample, evicting the oldest when full.
-    pub fn update(&mut self, sample: f64) {
-        if self.window.len() == self.capacity {
-            if let Some(old) = self.window.pop_front() {
-                self.sum -= old;
-            }
-        }
-        self.window.push_back(sample);
-        self.sum += sample;
-    }
-
-    /// Current mean, or `None` before the first sample.
-    #[must_use]
-    pub fn value(&self) -> Option<f64> {
-        if self.window.is_empty() {
-            None
-        } else {
-            // Recompute on demand to avoid drift from incremental updates.
-            Some(self.window.iter().sum::<f64>() / self.window.len() as f64)
-        }
-    }
-
-    /// Number of samples currently in the window.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Whether no samples have been observed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Forget all history.
-    pub fn reset(&mut self) {
-        self.window.clear();
-        self.sum = 0.0;
-    }
-}
-
 /// Arithmetic mean over recent samples, bounded both by count and by
 /// age: samples older than `max_age_us` no longer influence the
 /// estimate.
@@ -442,51 +330,6 @@ impl Reservoir {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_first_sample_is_exact() {
-        let mut e = Ewma::new(0.2);
-        assert_eq!(e.value(), None);
-        e.update(10.0);
-        assert_eq!(e.value(), Some(10.0));
-    }
-
-    #[test]
-    fn ewma_converges_toward_constant_input() {
-        let mut e = Ewma::new(0.5);
-        e.update(0.0);
-        for _ in 0..30 {
-            e.update(100.0);
-        }
-        assert!((e.value().unwrap() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn moving_avg_evicts_oldest() {
-        let mut m = MovingAvg::new(3);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            m.update(v);
-        }
-        assert_eq!(m.len(), 3);
-        assert!((m.value().unwrap() - 3.0).abs() < 1e-12); // (2+3+4)/3
-    }
-
-    #[test]
-    fn moving_avg_empty_and_reset() {
-        let mut m = MovingAvg::new(2);
-        assert!(m.is_empty());
-        assert_eq!(m.value(), None);
-        m.update(5.0);
-        assert_eq!(m.value(), Some(5.0));
-        m.reset();
-        assert_eq!(m.value(), None);
-    }
 
     #[test]
     fn timed_avg_evicts_by_count_and_age() {

@@ -5,43 +5,66 @@
 //! hostile stream — length prefixes that lie — is rejected or framed,
 //! never trusted.
 
-use proptest::prelude::*;
+use swing_core::rng::{for_each_case, DetRng};
 use swing_core::{Error, SeqNo, Tuple, UnitId};
 use swing_net::frame::MAX_FRAME;
 use swing_net::{FrameAssembler, Message};
 
-fn arb_message() -> impl Strategy<Value = Message> {
-    let data = (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u64>(),
-        // Cross SHARED_SEGMENT_MIN sometimes so the gathered-write path
-        // emits both scratch and shared segments.
-        proptest::collection::vec(any::<u8>(), 0..2048),
-    )
-        .prop_map(|(dest, from, seq, bytes)| Message::Data {
-            dest: UnitId(dest),
-            from: UnitId(from),
-            tuple: Tuple::with_seq(SeqNo(seq)).with("payload", bytes),
-        });
-    let ack = (any::<u64>(), any::<u32>(), any::<u32>()).prop_map(|(seq, to, from)| Message::Ack {
-        seq: SeqNo(seq),
-        to: UnitId(to),
-        from: UnitId(from),
-        sent_at_us: 1,
-        processing_us: 2,
-    });
-    let registry =
-        ("[a-z]{0,8}", "[a-z]{0,8}", "[a-z0-9.:]{0,20}").prop_map(|(app, role, addr)| {
-            Message::RegisterService {
-                app,
-                role,
-                stage: String::new(),
-                addr,
-                ttl_ms: 1_000,
-            }
-        });
-    prop_oneof![data, ack, registry, Just(Message::Ping)]
+const CASES: u32 = 256;
+
+/// Up to `max_len` characters of `alphabet` (ASCII).
+fn string_of(rng: &mut DetRng, alphabet: &str, max_len: usize) -> String {
+    (0..rng.random_range(0..=max_len))
+        .map(|_| char::from(alphabet.as_bytes()[rng.random_range(0..alphabet.len())]))
+        .collect()
+}
+
+fn bytes_below(rng: &mut DetRng, len: usize) -> Vec<u8> {
+    (0..rng.random_range(0..len))
+        .map(|_| rng.any_u8())
+        .collect()
+}
+
+/// Fractions of a stream's length to cut it at.
+fn cuts_below(rng: &mut DetRng, len: usize) -> Vec<f64> {
+    (0..rng.random_range(0..len))
+        .map(|_| rng.random_range(0.0..1.0))
+        .collect()
+}
+
+fn message(rng: &mut DetRng) -> Message {
+    const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+    const ADDR: &str = "abcdefghijklmnopqrstuvwxyz0123456789.:";
+    match rng.random_range(0..4) {
+        0 => Message::Data {
+            dest: UnitId(rng.any_u32()),
+            from: UnitId(rng.any_u32()),
+            // Cross SHARED_SEGMENT_MIN sometimes so the gathered-write
+            // path emits both scratch and shared segments.
+            tuple: Tuple::with_seq(SeqNo(rng.any_u64())).with("payload", bytes_below(rng, 2048)),
+        },
+        1 => Message::Ack {
+            seq: SeqNo(rng.any_u64()),
+            to: UnitId(rng.any_u32()),
+            from: UnitId(rng.any_u32()),
+            sent_at_us: 1,
+            processing_us: 2,
+        },
+        2 => Message::RegisterService {
+            app: string_of(rng, LOWER, 8),
+            role: string_of(rng, LOWER, 8),
+            stage: String::new(),
+            addr: string_of(rng, ADDR, 20),
+            ttl_ms: 1_000,
+        },
+        _ => Message::Ping,
+    }
+}
+
+fn messages_below(rng: &mut DetRng, len: usize) -> Vec<Message> {
+    (0..rng.random_range(1..len))
+        .map(|_| message(rng))
+        .collect()
 }
 
 /// The reference encoder: one frame whose payload is the concatenation
@@ -83,14 +106,13 @@ fn split_points(stream_len: usize, cuts: &[f64]) -> Vec<usize> {
     points
 }
 
-proptest! {
-    /// Any byte-level split of a valid frame stream reassembles to the
-    /// identical message sequence.
-    #[test]
-    fn any_split_reassembles_identically(
-        msgs in proptest::collection::vec(arb_message(), 1..8),
-        cuts in proptest::collection::vec(0.0f64..1.0, 0..32),
-    ) {
+/// Any byte-level split of a valid frame stream reassembles to the
+/// identical message sequence.
+#[test]
+fn any_split_reassembles_identically() {
+    for_each_case(0xF001, CASES, |rng| {
+        let msgs = messages_below(rng, 8);
+        let cuts = cuts_below(rng, 32);
         let stream = frame_stream(&msgs);
         let points = split_points(stream.len(), &cuts);
         let mut asm = FrameAssembler::new();
@@ -103,16 +125,17 @@ proptest! {
                 decoded.push(Message::decode_shared(&frame).unwrap());
             }
         }
-        prop_assert!(asm.is_at_boundary(), "stream must end on a frame boundary");
-        prop_assert_eq!(decoded, msgs);
-    }
+        assert!(asm.is_at_boundary(), "stream must end on a frame boundary");
+        assert_eq!(decoded, msgs);
+    });
+}
 
-    /// Degenerate split: one byte at a time (every possible tear at
-    /// once).
-    #[test]
-    fn byte_at_a_time_reassembles_identically(
-        msgs in proptest::collection::vec(arb_message(), 1..4),
-    ) {
+/// Degenerate split: one byte at a time (every possible tear at
+/// once).
+#[test]
+fn byte_at_a_time_reassembles_identically() {
+    for_each_case(0xF002, CASES, |rng| {
+        let msgs = messages_below(rng, 4);
         let stream = frame_stream(&msgs);
         let mut asm = FrameAssembler::new();
         let mut decoded = Vec::new();
@@ -122,22 +145,22 @@ proptest! {
                 decoded.push(Message::decode_shared(&frame).unwrap());
             }
         }
-        prop_assert_eq!(decoded, msgs);
-    }
+        assert_eq!(decoded, msgs);
+    });
+}
 
-    /// Length prefixes an attacker chose — above `MAX_FRAME`, zero,
-    /// honest, or arbitrary, torn across feeds anywhere — get
-    /// `FrameTooLarge` or the promised bytes back, never a panic, and
-    /// the assembler holds exactly what was fed and not yet framed: a
-    /// prefix alone reserves nothing.
-    #[test]
-    fn adversarial_prefixes_are_rejected_or_framed(
-        records in proptest::collection::vec(
-            (0u8..4, any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
-            1..8,
-        ),
-        cuts in proptest::collection::vec(0.0f64..1.0, 0..16),
-    ) {
+/// Length prefixes an attacker chose — above `MAX_FRAME`, zero,
+/// honest, or arbitrary, torn across feeds anywhere — get
+/// `FrameTooLarge` or the promised bytes back, never a panic, and
+/// the assembler holds exactly what was fed and not yet framed: a
+/// prefix alone reserves nothing.
+#[test]
+fn adversarial_prefixes_are_rejected_or_framed() {
+    for_each_case(0xF003, CASES, |rng| {
+        let records: Vec<(u8, u32, Vec<u8>)> = (0..rng.random_range(1..8))
+            .map(|_| (rng.random_range(0..4), rng.any_u32(), bytes_below(rng, 64)))
+            .collect();
+        let cuts = cuts_below(rng, 16);
         let mut stream = Vec::new();
         for (kind, raw, body) in &records {
             let prefix = match kind {
@@ -157,23 +180,23 @@ proptest! {
             asm.feed(&stream[start..end]);
             start = end;
             loop {
-                prop_assert_eq!(asm.buffered(), end - framed);
+                assert_eq!(asm.buffered(), end - framed);
                 match asm.next_frame() {
                     Ok(Some(frame)) => {
                         let body = framed + 4..framed + 4 + frame.len();
-                        prop_assert_eq!(frame.as_slice(), &stream[body.clone()]);
+                        assert_eq!(frame.as_slice(), &stream[body.clone()]);
                         framed = body.end;
                     }
                     Ok(None) => break,
                     // The stream cannot be resynchronised: a transport
                     // drops the connection here.
                     Err(Error::FrameTooLarge(n)) => {
-                        prop_assert!(n > MAX_FRAME);
+                        assert!(n > MAX_FRAME);
                         break 'feeds;
                     }
-                    Err(other) => prop_assert!(false, "unexpected error {other}"),
+                    Err(other) => panic!("unexpected error {other}"),
                 }
             }
         }
-    }
+    });
 }

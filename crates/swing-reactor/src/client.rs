@@ -16,8 +16,8 @@
 
 use crate::reactor::{Delivery, ReactorHandle};
 use crate::sender::MsgSender;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swing_core::{Error, Result};
@@ -40,7 +40,7 @@ pub struct RegistryClient {
 impl RegistryClient {
     /// Dial the registry at `addr` through `reactor`.
     pub fn connect(reactor: &ReactorHandle, addr: &str, timeouts: NetTimeouts) -> Result<Self> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let out = reactor.dial_bidi(addr, Delivery::Inbox(tx.into()))?;
         Ok(RegistryClient {
             reactor: reactor.clone(),
@@ -62,7 +62,7 @@ impl RegistryClient {
     /// the registry link fails). Pending expiry pushes are kept; any
     /// watch must be re-issued by the caller.
     pub fn reconnect(&mut self) -> Result<()> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.out = self
             .reactor
             .dial_bidi(&self.addr, Delivery::Inbox(tx.into()))?;
@@ -257,7 +257,7 @@ pub fn await_service(
 }
 
 enum HbCmd {
-    Add(ServiceEntry, Sender<Result<bool>>),
+    Add(ServiceEntry, SyncSender<Result<bool>>),
     Remove(ServiceEntry),
     Stop,
 }
@@ -281,7 +281,7 @@ impl Heartbeater {
         timeouts: NetTimeouts,
     ) -> Result<Self> {
         let mut client = RegistryClient::connect(reactor, registry_addr, timeouts)?;
-        let (cmd_tx, cmd_rx) = unbounded::<HbCmd>();
+        let (cmd_tx, cmd_rx) = channel::<HbCmd>();
         let interval = timeouts.heartbeat_interval;
         let ttl_ms = timeouts.ttl_ms();
         let thread = std::thread::Builder::new()
@@ -344,7 +344,7 @@ impl Heartbeater {
     /// Register `entry` and keep it renewed. Blocks until the initial
     /// registration is acknowledged.
     pub fn add(&self, entry: ServiceEntry) -> Result<bool> {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = sync_channel(1);
         self.cmd
             .send(HbCmd::Add(entry, tx))
             .map_err(|_| Error::Closed)?;

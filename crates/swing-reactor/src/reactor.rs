@@ -34,13 +34,13 @@ use crate::conn::{Drain, FramedConn, OutFrame};
 use crate::sender::MsgSender;
 use crate::sys::{Epoll, Event, READABLE, WRITABLE};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -156,13 +156,13 @@ enum Cmd {
     Listen {
         listener: TcpListener,
         delivery: Delivery,
-        reply: Sender<Result<()>>,
+        reply: SyncSender<Result<()>>,
     },
     Register {
         stream: TcpStream,
-        outbox: Option<Receiver<Message>>,
+        outbox: Option<Receiver<Box<Message>>>,
         delivery: Option<Delivery>,
-        reply: Sender<Result<ConnId>>,
+        reply: SyncSender<Result<ConnId>>,
     },
     SendTo(ConnId, Message),
     Close(ConnId),
@@ -220,7 +220,7 @@ impl ReactorHandle {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let (reply, registered) = bounded(1);
+        let (reply, registered) = sync_channel(1);
         self.send_cmd(Cmd::Listen {
             listener,
             delivery,
@@ -251,8 +251,8 @@ impl ReactorHandle {
             .next()
             .ok_or_else(|| Error::Malformed(format!("unresolvable address {addr}")))?;
         let stream = TcpStream::connect_timeout(&sock_addr, self.shared.config.timeouts.connect)?;
-        let (tx, rx) = bounded(self.shared.config.outbox_capacity);
-        let (reply_tx, reply_rx) = bounded(1);
+        let (tx, rx) = sync_channel(self.shared.config.outbox_capacity);
+        let (reply_tx, reply_rx) = sync_channel(1);
         self.send_cmd(Cmd::Register {
             stream,
             outbox: Some(rx),
@@ -322,7 +322,7 @@ impl Reactor {
     /// `swing_reactor_*` metrics.
     #[must_use]
     pub fn spawn(config: ReactorConfig, telemetry: Option<&Telemetry>) -> ReactorHandle {
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = channel();
         let waker = Arc::new(Waker::new().expect("create the reactor's wake socket pair"));
         let epoll = Epoll::new().expect("create the reactor's epoll instance");
         epoll
@@ -397,7 +397,7 @@ impl Ctx {
 struct Conn {
     id: u64,
     io: FramedConn,
-    outbox: Option<Receiver<Message>>,
+    outbox: Option<Receiver<Box<Message>>>,
     delivery: Option<Delivery>,
     /// Outbox disconnected; close once the write queue drains.
     closing: bool,
@@ -580,7 +580,7 @@ impl Loop {
     fn add_conn(
         &mut self,
         stream: TcpStream,
-        outbox: Option<Receiver<Message>>,
+        outbox: Option<Receiver<Box<Message>>>,
         delivery: Option<Delivery>,
     ) -> Result<ConnId> {
         let io = FramedConn::new(stream)?;
@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn dialed_messages_reach_inbox_listener() {
         let reactor = Reactor::spawn(ReactorConfig::default(), None);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let addr = reactor
             .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
             .unwrap();
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn service_delivery_can_reply_on_the_same_conn() {
         let reactor = Reactor::spawn(ReactorConfig::default(), None);
-        let (ev_tx, ev_rx) = unbounded();
+        let (ev_tx, ev_rx) = channel();
         let addr = reactor
             .listen("127.0.0.1:0", Delivery::Service(ev_tx))
             .unwrap();
@@ -748,7 +748,7 @@ mod tests {
                 }
             }
         });
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         let out = reactor
             .dial_bidi(&addr, Delivery::Inbox(reply_tx.into()))
             .unwrap();
@@ -772,7 +772,7 @@ mod tests {
             ..ReactorConfig::default()
         };
         let reactor = Reactor::spawn(config, None);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let addr = reactor
             .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
             .unwrap();
@@ -793,7 +793,7 @@ mod tests {
     #[test]
     fn many_concurrent_conns_multiplex_on_one_thread() {
         let reactor = Reactor::spawn(ReactorConfig::default(), None);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let addr = reactor
             .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
             .unwrap();
@@ -822,7 +822,7 @@ mod tests {
     #[test]
     fn dropping_the_outbox_closes_the_conn_after_draining() {
         let reactor = Reactor::spawn(ReactorConfig::default(), None);
-        let (ev_tx, ev_rx) = unbounded();
+        let (ev_tx, ev_rx) = channel();
         let addr = reactor
             .listen("127.0.0.1:0", Delivery::Service(ev_tx))
             .unwrap();

@@ -15,9 +15,9 @@
 //! [`RegistryServer`] hosts it on a reactor listener.
 
 use crate::reactor::{ConnEvent, ConnId, Delivery, ReactorHandle};
-use crossbeam::channel::{unbounded, RecvTimeoutError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -210,7 +210,7 @@ impl RegistryServer {
         timeouts: NetTimeouts,
         telemetry: Option<&Telemetry>,
     ) -> Result<Self> {
-        let (ev_tx, ev_rx) = unbounded();
+        let (ev_tx, ev_rx) = channel();
         let addr = reactor.listen(bind, Delivery::Service(ev_tx))?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);

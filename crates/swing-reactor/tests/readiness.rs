@@ -2,10 +2,10 @@
 //! idle latency, idle cost, a stalled reader, a dropped sender and a
 //! half-open peer, each through the public API over loopback.
 
-use crossbeam::channel::{unbounded, Receiver};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swing_core::{SeqNo, Tuple, UnitId};
@@ -22,7 +22,7 @@ fn data(seq: u64, bytes: usize) -> Message {
 }
 
 fn inbox_listener(reactor: &ReactorHandle) -> (String, Receiver<Message>) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let addr = reactor
         .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))
         .unwrap();
@@ -184,7 +184,7 @@ fn a_stalled_reader_blocks_the_producer_without_spinning_the_reactor() {
 #[test]
 fn dropping_the_last_sender_wakes_a_sleeping_reactor() {
     let reactor = Reactor::spawn(ReactorConfig::default(), None);
-    let (ev_tx, ev_rx) = unbounded();
+    let (ev_tx, ev_rx) = channel();
     let addr = reactor
         .listen("127.0.0.1:0", Delivery::Service(ev_tx))
         .unwrap();
@@ -213,7 +213,7 @@ fn dropping_the_last_sender_wakes_a_sleeping_reactor() {
 fn a_peer_that_shuts_down_mid_frame_is_closed_once_and_not_leaked() {
     let telemetry = Telemetry::new();
     let reactor = Reactor::spawn(ReactorConfig::default(), Some(&telemetry));
-    let (ev_tx, ev_rx) = unbounded();
+    let (ev_tx, ev_rx) = channel();
     let addr = reactor
         .listen("127.0.0.1:0", Delivery::Service(ev_tx))
         .unwrap();
@@ -244,7 +244,7 @@ fn a_peer_that_shuts_down_mid_frame_is_closed_once_and_not_leaked() {
 fn an_explicit_close_is_counted_like_any_other() {
     let telemetry = Telemetry::new();
     let reactor = Reactor::spawn(ReactorConfig::default(), Some(&telemetry));
-    let (ev_tx, ev_rx) = unbounded();
+    let (ev_tx, ev_rx) = channel();
     let addr = reactor
         .listen("127.0.0.1:0", Delivery::Service(ev_tx))
         .unwrap();

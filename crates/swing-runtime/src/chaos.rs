@@ -278,7 +278,7 @@ pub(crate) fn spawn_link_shim(
     inner_tx: MsgSender,
     shared: Arc<ChaosShared>,
 ) -> MsgSender {
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let faults = shared.plan.faults_for(addr);
     let mut rng = DetRng::seed_from_u64(link_seed(shared.plan.seed, addr));
     let addr = addr.to_owned();

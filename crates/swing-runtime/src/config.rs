@@ -34,8 +34,7 @@ use swing_telemetry::Telemetry;
 /// no fault injection.
 #[derive(Debug, Clone)]
 pub struct SwarmConfig {
-    /// Router configuration (policy, control period, probing,
-    /// occupancy penalty).
+    /// Router configuration (policy, control period, probing).
     pub router: RouterConfig,
     /// Source sensing rate, tuples per second.
     pub input_fps: f64,

@@ -23,11 +23,12 @@
 //!
 //! [`RealClock`]: swing_core::clock::RealClock
 
-use crate::executor::{DeliveryStats, ExecMsg, ExecProbe, NodeConfig};
+use crate::executor::{DeliveryStats, ExecInbox, ExecMsg, ExecProbe, NodeConfig};
 use crate::fabric::MsgSender;
 use crate::inflight::InflightTable;
 use crate::lock;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use swing_core::clock::ClockHandle;
@@ -631,19 +632,14 @@ impl Dispatcher {
         )
     }
 
-    /// Push per-downstream queue occupancy (outstanding / credits) into
-    /// the router — so the next rebalance de-weights saturated workers
-    /// before their inflated latency estimates catch up — and refresh
-    /// the remaining-credit gauges.
-    fn sync_occupancy(&mut self) {
+    /// Refresh the remaining-credit gauge of every downstream.
+    fn publish_credits(&mut self) {
         if !self.credits_active() {
             return;
         }
         let credits = self.flow.credits_per_downstream;
         let ledger: Vec<(UnitId, u32)> = self.outstanding.iter().collect();
         for (unit, out) in ledger {
-            self.router
-                .note_occupancy(unit, f64::from(out) / f64::from(credits));
             self.metrics
                 .credit_gauge(unit)
                 .set_u64(u64::from(credits.saturating_sub(out)));
@@ -730,7 +726,7 @@ impl Dispatcher {
         self.flush_delivery();
         let now = self.clock.now_us();
         self.next_publish_us = now + timing::TELEMETRY_PUBLISH_INTERVAL_US;
-        self.sync_occupancy();
+        self.publish_credits();
         let router = self.router.snapshot(now);
         self.metrics.publish_router(&router);
         self.metrics
@@ -1281,9 +1277,7 @@ impl Dispatcher {
         if !expired.is_empty() {
             self.metrics.inflight_expired.add(expired.len() as u64);
             // Refresh weights/selection so the silent downstream's
-            // pending-age latency floor (and its credit occupancy)
-            // steers the retry elsewhere.
-            self.sync_occupancy();
+            // pending-age latency floor steers the retry elsewhere.
             self.router.rebalance(now);
             for (seq, e) in expired {
                 self.credit_release(e.dest);
@@ -1306,7 +1300,7 @@ impl Dispatcher {
     /// timers until every in-flight tuple resolves (or the drain budget
     /// expires), so the tail of the stream is not silently abandoned.
     /// Whatever remains unresolved is counted lost; the caller publishes.
-    pub(crate) fn drain_tail(&mut self, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+    pub(crate) fn drain_tail(&mut self, rx: &ExecInbox) {
         if self.retry.enabled && !(self.inflight.is_empty() && self.pending.is_empty()) {
             // Worst-case time for one tuple to exhaust its retry budget.
             let budget = self.retry.deadline_ceiling_us * (u64::from(self.retry.max_retries) + 2);
@@ -1325,11 +1319,9 @@ impl Dispatcher {
                     .min(give_up);
                 let timeout = Duration::from_micros(wake.saturating_sub(now).max(1));
                 match rx.recv_timeout(timeout) {
-                    Ok(ExecMsg::Stop) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        break
-                    }
+                    Ok(ExecMsg::Stop) | Err(RecvTimeoutError::Disconnected) => break,
                     Ok(msg) => self.handle_control(msg),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Timeout) => {}
                 }
                 self.service_timers();
             }
@@ -1364,6 +1356,7 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use crate::executor::NodeConfig;
+    use std::sync::mpsc::{channel, Receiver};
     use swing_core::config::{ReorderConfig, RetryConfig, RouterConfig};
     use swing_core::routing::Policy;
 
@@ -1400,7 +1393,7 @@ mod tests {
         assert_eq!(out.delivery().lost, 0);
 
         // The connection lands: dispatch resumes in order.
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         out.add_downstream(UnitId(1), tx.into());
         assert!(out.pending.is_empty());
         assert_eq!(out.delivery().sent, 2);
@@ -1420,7 +1413,7 @@ mod tests {
     #[test]
     fn evicted_downstream_tuples_are_rerouted_to_survivors() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
-        let (tx_a, rx_a) = crossbeam::channel::unbounded();
+        let (tx_a, rx_a) = channel();
         out.add_downstream(UnitId(1), tx_a.into());
         for i in 0..5 {
             out.dispatch(tuple(i));
@@ -1431,7 +1424,7 @@ mod tests {
 
         // A survivor joins, then the original downstream is evicted
         // (heartbeat prune): every unACKed tuple must reach the survivor.
-        let (tx_b, rx_b) = crossbeam::channel::unbounded();
+        let (tx_b, rx_b) = channel();
         out.add_downstream(UnitId(2), tx_b.into());
         let orphans = out.remove_downstream(UnitId(1));
         out.flush_pending();
@@ -1457,8 +1450,8 @@ mod tests {
         cfg.retry = RetryConfig::disabled();
         let mut out = Dispatcher::new(UnitId(0), &cfg);
         out.enable_loss_log();
-        let (tx_a, _rx_a) = crossbeam::channel::unbounded();
-        let (tx_b, _rx_b) = crossbeam::channel::unbounded();
+        let (tx_a, _rx_a) = channel();
+        let (tx_b, _rx_b) = channel();
         out.add_downstream(UnitId(1), tx_a.into());
         for i in 0..4 {
             out.dispatch(tuple(i));
@@ -1477,7 +1470,7 @@ mod tests {
     #[test]
     fn gated_link_pauses_and_resumes_in_order() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         out.add_downstream(UnitId(1), tx.into());
         out.set_link_up(UnitId(1), false);
         for i in 0..3 {
@@ -1506,7 +1499,7 @@ mod tests {
     fn paced_mode_transmits_one_tuple_per_flush() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_paced(true);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         out.add_downstream(UnitId(1), tx.into());
         for i in 0..3 {
             out.dispatch(tuple(i));
@@ -1535,7 +1528,7 @@ mod tests {
         use swing_core::SharedBytes;
 
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         out.add_downstream(UnitId(1), tx.into());
 
         let frame = SharedBytes::from_vec(vec![7u8; 6000]);
@@ -1586,7 +1579,7 @@ mod tests {
             ..config(100.0)
         };
         let mut out = Dispatcher::new(UnitId(0), &cfg);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         out.add_downstream(UnitId(1), tx.into());
 
         vclock.advance_to(5_000_000);
@@ -1604,7 +1597,7 @@ mod tests {
         t
     }
 
-    fn drain_cells(rx: &crossbeam::channel::Receiver<Message>) -> Vec<i64> {
+    fn drain_cells(rx: &Receiver<Message>) -> Vec<i64> {
         rx.try_iter()
             .map(|m| match m {
                 Message::Data { tuple, .. } => tuple.i64("cell").expect("keyed field"),
@@ -1620,8 +1613,8 @@ mod tests {
     fn keyed_edge_pins_each_key_to_one_downstream() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));
-        let (tx_a, rx_a) = crossbeam::channel::unbounded();
-        let (tx_b, rx_b) = crossbeam::channel::unbounded();
+        let (tx_a, rx_a) = channel();
+        let (tx_b, rx_b) = channel();
         out.add_downstream(UnitId(1), tx_a.into());
         out.add_downstream(UnitId(2), tx_b.into());
 
@@ -1649,8 +1642,8 @@ mod tests {
     fn keyed_eviction_rehomes_only_the_dead_owners_keys() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));
-        let (tx_a, rx_a) = crossbeam::channel::unbounded();
-        let (tx_b, rx_b) = crossbeam::channel::unbounded();
+        let (tx_a, rx_a) = channel();
+        let (tx_b, rx_b) = channel();
         out.add_downstream(UnitId(1), tx_a.into());
         out.add_downstream(UnitId(2), tx_b.into());
         for seq in 0..32 {
@@ -1678,8 +1671,8 @@ mod tests {
     fn rebalance_edge_alternates_downstreams() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_edge_kind(&EdgeKind::Rebalance);
-        let (tx_a, rx_a) = crossbeam::channel::unbounded();
-        let (tx_b, rx_b) = crossbeam::channel::unbounded();
+        let (tx_a, rx_a) = channel();
+        let (tx_b, rx_b) = channel();
         out.add_downstream(UnitId(1), tx_a.into());
         out.add_downstream(UnitId(2), tx_b.into());
         for seq in 0..10 {
@@ -1696,7 +1689,7 @@ mod tests {
     fn repeated_edge_kind_is_idempotent() {
         let mut out = Dispatcher::new(UnitId(0), &config(100.0));
         out.set_edge_kind(&EdgeKind::KeyBy("cell".into()));
-        let (tx_a, _rx_a) = crossbeam::channel::unbounded();
+        let (tx_a, _rx_a) = channel();
         out.add_downstream(UnitId(1), tx_a.into());
         out.dispatch(keyed_tuple(0, 7));
         assert_eq!(out.keyed_stats().expect("keyed").0, 1);

@@ -43,6 +43,10 @@ use crate::fabric::MsgSender;
 use crate::lock;
 use crate::machine::UnitMachine;
 use crate::registry::AnyUnit;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{
+    channel, Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError,
+};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -287,7 +291,7 @@ impl SinkMeter {
 pub struct ExecHandle {
     /// The unit instance this executor runs.
     pub unit: UnitId,
-    tx: crossbeam::channel::Sender<ExecMsg>,
+    to: ExecSender,
     join: Option<JoinHandle<()>>,
     probe: Arc<Mutex<Option<ExecProbe>>>,
 }
@@ -296,7 +300,7 @@ impl ExecHandle {
     /// Deliver a message to the executor. Errors are ignored (a stopped
     /// executor drops messages, which is what churn looks like).
     pub fn send(&self, msg: ExecMsg) {
-        let _ = self.tx.send(msg);
+        let _ = self.to.send(msg);
     }
 
     /// The most recent routing-table snapshot published by this
@@ -321,7 +325,7 @@ impl ExecHandle {
 
     /// Stop the executor and wait for its thread.
     pub fn stop(&mut self) {
-        let _ = self.tx.send(ExecMsg::Stop);
+        self.send(ExecMsg::Stop);
         if let Some(j) = self.join.take() {
             let _ = j.join();
         }
@@ -334,12 +338,67 @@ impl Drop for ExecHandle {
     }
 }
 
+/// The sending end of an executor's channel. std's `Receiver` keeps no
+/// length, so this end adds one to a shared count per message and
+/// [`ExecInbox`] takes one off per receive.
+#[derive(Debug, Clone)]
+struct ExecSender {
+    tx: Sender<ExecMsg>,
+    backlog: Arc<AtomicUsize>,
+}
+
+impl ExecSender {
+    fn send(&self, msg: ExecMsg) -> Result<(), SendError<ExecMsg>> {
+        // Counted before it is queued, so the executor never takes off
+        // a message that was not yet added.
+        self.backlog.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(msg)
+    }
+}
+
+/// The executor's end of its channel; [`backlog`](Self::backlog) reads
+/// the messages still queued.
+pub(crate) struct ExecInbox {
+    rx: Receiver<ExecMsg>,
+    backlog: Arc<AtomicUsize>,
+}
+
+impl ExecInbox {
+    fn took<E>(&self, got: Result<ExecMsg, E>) -> Result<ExecMsg, E> {
+        if got.is_ok() {
+            self.backlog.fetch_sub(1, Ordering::Relaxed);
+        }
+        got
+    }
+
+    fn recv(&self) -> Result<ExecMsg, RecvError> {
+        self.took(self.rx.recv())
+    }
+
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<ExecMsg, RecvTimeoutError> {
+        self.took(self.rx.recv_timeout(timeout))
+    }
+
+    fn try_recv(&self) -> Result<ExecMsg, TryRecvError> {
+        self.took(self.rx.try_recv())
+    }
+
+    fn backlog(&self) -> usize {
+        self.backlog.load(Ordering::Relaxed)
+    }
+}
+
 /// Spawn the executor thread for a unit instance.
 ///
 /// Sinks report into the returned [`SinkMeter`] (always present, unused
 /// by other roles).
 pub fn spawn(unit: UnitId, any: AnyUnit, config: NodeConfig) -> (ExecHandle, Arc<SinkMeter>) {
-    let (tx, rx) = crossbeam::channel::unbounded::<ExecMsg>();
+    let (tx, rx) = channel::<ExecMsg>();
+    let backlog = Arc::new(AtomicUsize::new(0));
+    let rx = ExecInbox {
+        rx,
+        backlog: Arc::clone(&backlog),
+    };
     let meter = Arc::new(SinkMeter::default());
     let meter2 = Arc::clone(&meter);
     let probe: Arc<Mutex<Option<ExecProbe>>> = Arc::new(Mutex::new(None));
@@ -363,7 +422,7 @@ pub fn spawn(unit: UnitId, any: AnyUnit, config: NodeConfig) -> (ExecHandle, Arc
     (
         ExecHandle {
             unit,
-            tx,
+            to: ExecSender { tx, backlog },
             join: Some(join),
             probe,
         },
@@ -373,7 +432,7 @@ pub fn spawn(unit: UnitId, any: AnyUnit, config: NodeConfig) -> (ExecHandle, Arc
 
 /// A source senses nothing until started: wait for `Start`, absorbing
 /// topology control messages. `false` if the executor is stopped first.
-fn await_start(out: &mut Dispatcher, rx: &crossbeam::channel::Receiver<ExecMsg>) -> bool {
+fn await_start(out: &mut Dispatcher, rx: &ExecInbox) -> bool {
     loop {
         match rx.recv() {
             Ok(ExecMsg::Start) => return true,
@@ -383,10 +442,10 @@ fn await_start(out: &mut Dispatcher, rx: &crossbeam::channel::Receiver<ExecMsg>)
     }
 }
 
-fn run_source(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+fn run_source(unit: &mut UnitMachine, rx: &ExecInbox) {
     let clock = unit.disp.clock().clone();
     loop {
-        unit.disp.metrics.queue_depth.set_u64(rx.len() as u64);
+        unit.disp.metrics.queue_depth.set_u64(rx.backlog() as u64);
         unit.disp.maybe_publish();
         // Sleep until the next frame (or ACK deadline) is due, staying
         // responsive to control traffic (ACKs, churn, stop).
@@ -395,14 +454,14 @@ fn run_source(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>
         let now = clock.now_us();
         if wake > now {
             match rx.recv_timeout(Duration::from_micros(wake - now)) {
-                Ok(ExecMsg::Stop) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                Ok(ExecMsg::Stop) | Err(RecvTimeoutError::Disconnected) => {
                     return;
                 }
                 Ok(msg) => {
                     unit.disp.handle_control(msg);
                     continue;
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Timeout) => {}
             }
         }
         unit.disp.service_timers();
@@ -424,13 +483,13 @@ fn run_source(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>
     }
 }
 
-fn run_operator(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+fn run_operator(unit: &mut UnitMachine, rx: &ExecInbox) {
     let clock = unit.disp.clock().clone();
     'run: loop {
         unit.disp
             .metrics
             .queue_depth
-            .set_u64((rx.len() + unit.queued()) as u64);
+            .set_u64((rx.backlog() + unit.queued()) as u64);
         unit.disp.maybe_publish();
         // Eagerly drain the channel so control traffic is handled
         // immediately and queued data falls under the mailbox's
@@ -462,17 +521,17 @@ fn run_operator(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMs
             }
             Ok(ExecMsg::Stop) => break,
             Ok(other) => unit.disp.handle_control(other),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
         unit.disp.service_timers();
     }
 }
 
-fn run_sink(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) {
+fn run_sink(unit: &mut UnitMachine, rx: &ExecInbox) {
     let clock = unit.disp.clock().clone();
     loop {
-        unit.disp.metrics.queue_depth.set_u64(rx.len() as u64);
+        unit.disp.metrics.queue_depth.set_u64(rx.backlog() as u64);
         unit.disp.maybe_publish();
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(ExecMsg::Data { from, tuple }) => {
@@ -480,10 +539,10 @@ fn run_sink(unit: &mut UnitMachine, rx: &crossbeam::channel::Receiver<ExecMsg>) 
             }
             Ok(ExecMsg::Stop) => break,
             Ok(other) => unit.disp.handle_control(other),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 unit.poll(clock.now_us());
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
 }
@@ -548,7 +607,7 @@ mod tests {
         let handles = [(src_rx, 0u32), (op_rx, 1), (sink_rx, 2)];
         let hs: Vec<&ExecHandle> = vec![&src_h, &op_h, &sink_h];
         for (rx, idx) in handles {
-            let tx = hs[idx as usize].tx.clone();
+            let tx = hs[idx as usize].to.clone();
             std::thread::spawn(move || {
                 while let Ok(msg) = rx.recv() {
                     let fwd = match msg {

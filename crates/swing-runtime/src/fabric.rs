@@ -4,7 +4,7 @@
 //! Every node owns a single *inbox* on which control messages (from the
 //! master) and data/ACK messages (from peer nodes) arrive. Nodes reach
 //! each other by *dialing* an address obtained from the master's
-//! `Connect` messages. In-process swarms use crossbeam channels under
+//! `Connect` messages. In-process swarms use `std::sync::mpsc` channels under
 //! `inproc:<n>` addresses; networked swarms use `127.0.0.1:<port>`
 //! sockets, all multiplexed on one reactor thread and bridged onto the
 //! same channel types, so the rest of the runtime is
@@ -12,10 +12,10 @@
 
 use crate::chaos::{ChaosControl, ChaosShared, FaultPlan};
 use crate::lock;
-use crossbeam::channel::{unbounded, Receiver};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use swing_core::{Error, Result};
 use swing_net::Message;
@@ -46,7 +46,7 @@ impl fmt::Debug for InProcNet {
 /// The transport a swarm runs on.
 #[derive(Debug, Clone)]
 pub enum Fabric {
-    /// Crossbeam channels inside one process.
+    /// `std::sync::mpsc` channels inside one process.
     InProc(Arc<InProcNet>),
     /// Non-blocking TCP sockets (multi-thread or multi-process)
     /// multiplexed on one reactor thread (see [`swing_reactor`]): a
@@ -142,14 +142,14 @@ impl Fabric {
     pub fn listen(&self) -> Result<(String, MsgReceiver)> {
         match self {
             Fabric::InProc(net) => {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 let id = net.next_id.fetch_add(1, Ordering::Relaxed);
                 let addr = format!("inproc:{id}");
                 lock(&net.endpoints).insert(addr.clone(), tx.into());
                 Ok((addr, rx))
             }
             Fabric::Reactor(net) => {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 let addr = net
                     .handle
                     .listen("127.0.0.1:0", Delivery::Inbox(tx.into()))?;
@@ -183,6 +183,18 @@ impl Fabric {
                     Arc::clone(&net.shared),
                 ))
             }
+        }
+    }
+
+    /// [`dial`](Self::dial) for the owner of the inbox at `addr`, who
+    /// keeps the sender to nudge its own loop: never through a fault
+    /// shim, where a partition or crash of `addr` would swallow the
+    /// owner's `Stop` and leave `stop()` joining a thread that never
+    /// wakes.
+    pub(crate) fn dial_own(&self, addr: &str) -> Result<MsgSender> {
+        match self {
+            Fabric::Chaos(net) => net.inner.dial_own(addr),
+            clean => clean.dial(addr),
         }
     }
 }

@@ -482,8 +482,8 @@ mod tests {
     /// whose ends the test holds: `(machine, ACKs out, data out)`.
     fn machine(any: AnyUnit, config: &NodeConfig) -> (UnitMachine, MsgReceiver, MsgReceiver) {
         let mut disp = Dispatcher::new(ME, config);
-        let (ack_tx, ack_rx) = crossbeam::channel::unbounded();
-        let (data_tx, data_rx) = crossbeam::channel::unbounded();
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        let (data_tx, data_rx) = std::sync::mpsc::channel();
         disp.add_upstream(UP, ack_tx.into());
         disp.add_downstream(DOWN, data_tx.into());
         let m = UnitMachine::new(any, disp, config, Arc::new(SinkMeter::default()));

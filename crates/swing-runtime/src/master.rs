@@ -12,6 +12,7 @@ use crate::fabric::{Fabric, MsgSender};
 use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -275,7 +276,7 @@ impl Master {
             }
         }
         let (addr, inbox) = fabric.listen()?;
-        let inbox_tx = fabric.dial(&addr)?;
+        let inbox_tx = fabric.dial_own(&addr)?;
         let status = Arc::new(MasterStatus::default());
         let status2 = Arc::clone(&status);
         let silent = Arc::new(AtomicBool::new(false));
@@ -315,8 +316,8 @@ impl Master {
                                 break;
                             }
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                     state.on_tick(heartbeat);
                 }

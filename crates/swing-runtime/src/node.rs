@@ -68,7 +68,7 @@ impl WorkerNode {
         config.worker_label.clone_from(&name);
         let (data_addr, inbox) = fabric.listen()?;
         // Keep a sender to our own inbox so `stop` can nudge the loop.
-        let inbox_tx = fabric.dial(&data_addr)?;
+        let inbox_tx = fabric.dial_own(&data_addr)?;
         let master = fabric.dial(master_addr)?;
         master
             .send(Message::Join {

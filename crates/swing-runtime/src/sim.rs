@@ -61,12 +61,13 @@
 use crate::control::{Command, ControlPlane};
 use crate::dispatch::Dispatcher;
 use crate::executor::{DeliveryStats, NodeConfig, SinkMeter, SinkReport};
-use crate::fabric::{MsgReceiver, MsgSender};
+use crate::fabric::MsgSender;
 use crate::machine::UnitMachine;
 use crate::master::Placement;
 use crate::registry::UnitRegistry;
 use crate::swarm::{delivery_from_snapshot, DeliveryByUnit};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use swing_core::clock::{Clock, VirtualClock};
 use swing_core::event::EventQueue;
@@ -173,12 +174,13 @@ struct RadioLink {
 struct SimLink {
     /// The endpoint the link delivers to.
     to: usize,
-    rx: MsgReceiver,
+    /// Boxed messages: a federation dials some twenty thousand of these
+    /// and std sizes a channel's first allocation by its message.
+    rx: Receiver<Box<Message>>,
     rng: DetRng,
     cfg: SimLinkConfig,
-    /// `Some` on a radio link (resolved at dial time). Boxed: `poll`
-    /// strides over every link after every event, and almost none has
-    /// one.
+    /// `Some` on a radio link (resolved at dial time). Boxed: almost no
+    /// link has one.
     radio: Option<Box<RadioLink>>,
 }
 
@@ -203,7 +205,16 @@ pub struct SimFabric {
     seed: u64,
     next_link: u64,
     endpoints: Vec<Endpoint>,
-    links: Vec<SimLink>,
+    /// In dial order. A link's position is the number its sender rings
+    /// the bell with, so a crash empties the slots of the links it takes
+    /// down and moves nothing.
+    links: Vec<Option<SimLink>>,
+    /// Every link's sender follows a message with the link's number
+    /// here ([`MsgSender::rung`]): what `poll` reads to learn which
+    /// links to drain.
+    bell: (Sender<usize>, Receiver<usize>),
+    /// `poll`'s list of links that rang, kept for its capacity.
+    rang: Vec<usize>,
     default_link: SimLinkConfig,
     /// Endpoints of the workers whose radio link broke since the last
     /// [`SimFabric::take_broken`].
@@ -233,6 +244,8 @@ impl SimFabric {
             next_link: 0,
             endpoints: Vec::new(),
             links: Vec::new(),
+            bell: channel(),
+            rang: Vec::new(),
             default_link: SimLinkConfig::default(),
             broken: Vec::new(),
             dropped: 0,
@@ -292,7 +305,10 @@ impl SimFabric {
 
     /// The links that deliver to `endpoint`.
     fn links_toward(&mut self, endpoint: usize) -> impl Iterator<Item = &mut SimLink> {
-        self.links.iter_mut().filter(move |l| l.to == endpoint)
+        self.links
+            .iter_mut()
+            .flatten()
+            .filter(move |l| l.to == endpoint)
     }
 
     /// Messages the link fault models have dropped so far.
@@ -351,7 +367,7 @@ impl SimFabric {
             )));
         };
         let cfg = endpoint.link.unwrap_or(self.default_link);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel::<Box<Message>>();
         // Distinct links draw from distinct deterministic streams: mix
         // the link ordinal into the seed. Dial order is deterministic
         // under the single-threaded event loop.
@@ -360,7 +376,7 @@ impl SimFabric {
         let seed = self
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(link_no + 1));
-        self.links.push(SimLink {
+        self.links.push(Some(SimLink {
             to,
             rx,
             rng: DetRng::seed_from_u64(seed),
@@ -372,17 +388,34 @@ impl SimFabric {
                     air: SenderRadio::new(),
                 })
             }),
-        });
-        Ok(tx.into())
+        }));
+        Ok(MsgSender::rung(
+            tx,
+            self.bell.0.clone(),
+            self.links.len() - 1,
+        ))
     }
 
-    /// Drain every link and append the messages in transit to `due` as
-    /// deliveries to schedule: `(deliver_at_us, destination endpoint,
-    /// message)`. Fault models apply here — a dropped message simply
-    /// produces no delivery; a duplicated one produces two with
-    /// independent delays. Links are drained in dial order, so the
-    /// result is deterministic.
+    /// Drain the links sent on since the last call and append the
+    /// messages in transit to `due` as deliveries to schedule:
+    /// `(deliver_at_us, destination endpoint, message)`. Fault models
+    /// apply here — a dropped message simply produces no delivery; a
+    /// duplicated one produces two with independent delays. Links are
+    /// drained in dial order, so the result is deterministic. The loop
+    /// polls after every event and almost every link is idle at almost
+    /// every one, so only the links whose senders rang are asked.
     pub fn poll(&mut self, now_us: u64, due: &mut Vec<(u64, usize, Message)>) {
+        let mut rang = std::mem::take(&mut self.rang);
+        rang.extend(self.bell.1.try_iter());
+        rang.sort_unstable();
+        rang.dedup();
+        for link in rang.drain(..) {
+            self.poll_link(link, now_us, due);
+        }
+        self.rang = rang;
+    }
+
+    fn poll_link(&mut self, link: usize, now_us: u64, due: &mut Vec<(u64, usize, Message)>) {
         let SimFabric {
             links,
             broken,
@@ -390,61 +423,52 @@ impl SimFabric {
             duplicated,
             ..
         } = self;
-        for link in links {
-            // Fast path: poll runs after every event over every link,
-            // and almost all links are idle almost always — at
-            // federation scale this scan is the simulator's hottest
-            // loop.
-            if link.rx.is_empty() {
+        let Some(link) = &mut links[link] else {
+            return;
+        };
+        while let Ok(msg) = link.rx.try_recv() {
+            let msg = *msg;
+            let data_plane = matches!(msg, Message::Data { .. } | Message::Ack { .. });
+            if data_plane && link.cfg.drop_prob > 0.0 && link.rng.random_bool(link.cfg.drop_prob) {
+                *dropped += 1;
                 continue;
             }
-            while let Ok(msg) = link.rx.try_recv() {
-                let data_plane = matches!(msg, Message::Data { .. } | Message::Ack { .. });
-                if data_plane
-                    && link.cfg.drop_prob > 0.0
-                    && link.rng.random_bool(link.cfg.drop_prob)
-                {
-                    *dropped += 1;
-                    continue;
+            // One crossing's delay; `None` when the radio link is
+            // broken (out of range, or the transfer would outlive
+            // any TCP timeout) and the message is lost with it.
+            let mut delay = |rng: &mut DetRng| match &mut link.radio {
+                None => {
+                    let jitter = if link.cfg.jitter_us > 0 {
+                        rng.random_range(0..=link.cfg.jitter_us)
+                    } else {
+                        0
+                    };
+                    Some(link.cfg.base_delay_us + jitter)
                 }
-                // One crossing's delay; `None` when the radio link is
-                // broken (out of range, or the transfer would outlive
-                // any TCP timeout) and the message is lost with it.
-                let mut delay = |rng: &mut DetRng| match &mut link.radio {
-                    None => {
-                        let jitter = if link.cfg.jitter_us > 0 {
-                            rng.random_range(0..=link.cfg.jitter_us)
-                        } else {
-                            0
-                        };
-                        Some(link.cfg.base_delay_us + jitter)
-                    }
-                    Some(radio) => {
-                        let quality = link_quality(radio.rssi.rssi_at(now_us));
-                        let tx = radio.air.enqueue(now_us, air_bytes(&msg), quality, rng);
-                        match tx {
-                            Some(tx) if tx.end_us - tx.start_us <= LINK_BREAK_US => {
-                                Some(tx.end_us - now_us)
-                            }
-                            _ => {
-                                broken.push(radio.owner);
-                                None
-                            }
+                Some(radio) => {
+                    let quality = link_quality(radio.rssi.rssi_at(now_us));
+                    let tx = radio.air.enqueue(now_us, air_bytes(&msg), quality, rng);
+                    match tx {
+                        Some(tx) if tx.end_us - tx.start_us <= LINK_BREAK_US => {
+                            Some(tx.end_us - now_us)
+                        }
+                        _ => {
+                            broken.push(radio.owner);
+                            None
                         }
                     }
-                };
-                let Some(d) = delay(&mut link.rng) else {
-                    continue;
-                };
-                if data_plane && link.cfg.dup_prob > 0.0 && link.rng.random_bool(link.cfg.dup_prob)
-                {
-                    *duplicated += 1;
-                    if let Some(d2) = delay(&mut link.rng) {
-                        due.push((now_us + d2, link.to, msg.clone()));
-                    }
                 }
-                due.push((now_us + d, link.to, msg));
+            };
+            let Some(d) = delay(&mut link.rng) else {
+                continue;
+            };
+            if data_plane && link.cfg.dup_prob > 0.0 && link.rng.random_bool(link.cfg.dup_prob) {
+                *duplicated += 1;
+                if let Some(d2) = delay(&mut link.rng) {
+                    due.push((now_us + d2, link.to, msg.clone()));
+                }
             }
+            due.push((now_us + d, link.to, msg));
         }
     }
 
@@ -465,7 +489,11 @@ impl SimFabric {
             .endpoints
             .get_mut(endpoint)
             .is_some_and(|e| std::mem::replace(&mut e.up, false));
-        self.links.retain(|l| l.to != endpoint);
+        for slot in &mut self.links {
+            if slot.as_ref().is_some_and(|l| l.to == endpoint) {
+                *slot = None;
+            }
+        }
         was_up
     }
 }

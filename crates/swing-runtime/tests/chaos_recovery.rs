@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swing_core::config::{ReorderConfig, RetryConfig};
@@ -230,6 +231,31 @@ fn chaos_swarm_without_retries_demonstrably_loses_frames() {
     );
 }
 
+/// `stop()` nudges the master's and each node's loop through a sender
+/// to its own inbox. That sender must not cross a fault shim, or a
+/// partition of the loop's own address swallows the `Stop` and `stop()`
+/// joins a thread that never wakes.
+#[test]
+fn stop_returns_while_own_addresses_are_partitioned() {
+    let consumed = Arc::new(AtomicU64::new(0));
+    let (swarm, _) = build_swarm(fast_retry(), &consumed);
+    let ctl = swarm.chaos().expect("chaos fabric").clone();
+    swarm.run_for(Duration::from_millis(200));
+    ctl.partition(swarm.master_addr());
+    for name in ["A", "B", "C"] {
+        ctl.partition(swarm.worker_addr(name).expect("worker address"));
+    }
+    let (done_tx, done_rx) = channel();
+    std::thread::spawn(move || {
+        swarm.stop();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "stop() hung behind a partition of the swarm's own addresses"
+    );
+}
+
 /// Deterministic re-route on ACK-deadline expiry, at the executor level:
 /// the only downstream is a black hole (receives, never ACKs), so the
 /// first frames are dispatched to it and time out; once a healthy
@@ -267,7 +293,7 @@ fn expired_ack_deadline_reroutes_to_another_downstream() {
 
     // Black hole downstream: attached first and alone, so the earliest
     // frames are deterministically dispatched to it.
-    let (hole_tx, hole_rx) = crossbeam::channel::unbounded::<Message>();
+    let (hole_tx, hole_rx) = channel::<Message>();
     src_h.send(ExecMsg::AddDownstream {
         unit: UnitId(1),
         sender: hole_tx.into(),
@@ -293,7 +319,7 @@ fn expired_ack_deadline_reroutes_to_another_downstream() {
 
     // A healthy downstream joins. Expired deadlines must steer every
     // frame (old and new) to it.
-    let (live_tx, live_rx) = crossbeam::channel::unbounded::<Message>();
+    let (live_tx, live_rx) = channel::<Message>();
     src_h.send(ExecMsg::AddDownstream {
         unit: UnitId(2),
         sender: live_tx.into(),

@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use swing_core::estimator::{LatencyEstimator, LatencyView};
 use swing_core::rng::DetRng;
 use swing_core::timing;
@@ -276,8 +276,8 @@ pub fn connect(
     rng: &mut DetRng,
 ) {
     assert_ne!(from, to, "a gateway link must join two distinct shards");
-    let (tx, rx) = unbounded();
-    let (ack_tx, ack_rx) = unbounded();
+    let (tx, rx) = channel();
+    let (ack_tx, ack_rx) = channel();
     let link_rng = rng.fork(((from as u64) << 32) | to as u64);
     shards[from].estimator.add_unit(UnitId(to as u32));
     shards[from].links_out.push(LinkOut {

@@ -1,27 +1,31 @@
 //! Histogram correctness: quantile accuracy against an exact oracle,
 //! merge associativity/commutativity, and JSON round-trips.
 //!
-//! Each property runs twice: once as a deterministic test over a
-//! seeded value stream (always on, even with the offline `proptest`
-//! stub), and once as a `proptest!` property over arbitrary inputs
-//! (compiled and run wherever the real crate is available).
+//! Each property runs twice: once over fixed seeded value streams and
+//! the degenerate shapes, and once on 256 seeded cases of arbitrary
+//! `u64`s, boundary values included (see [`for_each_case`] for
+//! replaying one).
 
-use proptest::prelude::*;
+use swing_core::rng::{for_each_case, DetRng};
 use swing_telemetry::{from_json, Histogram, HistogramSnapshot, Telemetry};
 
-/// Deterministic value stream for the always-on variants (splitmix64).
+const CASES: u32 = 256;
+
+/// `n` values spanning ten octaves, so they cross many bucket widths.
 fn stream(seed: u64, n: usize) -> Vec<u64> {
-    let mut state = seed;
+    let mut rng = DetRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            // Span ten octaves so values cross many bucket widths.
+            let z = rng.next_u64();
             z % (1 << (z % 10 + 4))
         })
+        .collect()
+}
+
+/// Fewer than `len` arbitrary values, at least `min`.
+fn any_values(rng: &mut DetRng, min: usize, len: usize) -> Vec<u64> {
+    (0..rng.random_range(min..len))
+        .map(|_| rng.any_u64())
         .collect()
 }
 
@@ -127,27 +131,28 @@ fn snapshot_json_round_trips_exactly() {
     assert_json_round_trip(&[0, u64::MAX]);
 }
 
-proptest! {
-    #[test]
-    fn prop_quantiles_match_exact_oracle(
-        values in proptest::collection::vec(any::<u64>(), 1..400),
-    ) {
-        assert_quantiles_match(&values);
-    }
+#[test]
+fn prop_quantiles_match_exact_oracle() {
+    for_each_case(0x7001, CASES, |rng| {
+        assert_quantiles_match(&any_values(rng, 1, 400));
+    });
+}
 
-    #[test]
-    fn prop_merge_is_associative(
-        a in proptest::collection::vec(any::<u64>(), 0..200),
-        b in proptest::collection::vec(any::<u64>(), 0..200),
-        c in proptest::collection::vec(any::<u64>(), 0..200),
-    ) {
+#[test]
+fn prop_merge_is_associative() {
+    for_each_case(0x7002, CASES, |rng| {
+        let (a, b, c) = (
+            any_values(rng, 0, 200),
+            any_values(rng, 0, 200),
+            any_values(rng, 0, 200),
+        );
         assert_merge_associative(&a, &b, &c);
-    }
+    });
+}
 
-    #[test]
-    fn prop_snapshot_json_round_trips(
-        values in proptest::collection::vec(any::<u64>(), 0..200),
-    ) {
-        assert_json_round_trip(&values);
-    }
+#[test]
+fn prop_snapshot_json_round_trips() {
+    for_each_case(0x7003, CASES, |rng| {
+        assert_json_round_trip(&any_values(rng, 0, 200));
+    });
 }

@@ -139,7 +139,7 @@ fn main() {
     });
 
     // Collector: every worker connection funnels into this inbox.
-    let (col_tx, col_rx) = crossbeam::channel::unbounded();
+    let (col_tx, col_rx) = std::sync::mpsc::channel();
     let collector_addr = reactor
         .listen("127.0.0.1:0", Delivery::Inbox(col_tx.into()))
         .unwrap();
