@@ -17,12 +17,24 @@ pub struct Recognition {
     pub at: (usize, usize),
 }
 
+/// Pixels in a face patch.
+const PATCH: usize = FACE_SIZE * FACE_SIZE;
+
+/// Templates correlated together. One template's correlation is a
+/// serial chain of 400 dependent additions; a block of independent
+/// chains, one lane per template, runs as packed arithmetic. The
+/// standard gallery's 8 identities are one block.
+const LANES: usize = 8;
+
 /// Nearest-neighbour matcher over normalized face patches.
 #[derive(Debug, Clone)]
 pub struct Recognizer {
     gallery: Gallery,
-    /// Pre-normalized gallery templates (zero mean, unit norm).
-    templates: Vec<Vec<f64>>,
+    /// Pre-normalized gallery templates (zero mean, unit norm), stored
+    /// pixel-major in blocks of [`LANES`] templates: lane `l` of
+    /// `templates[b * PATCH + p]` is pixel `p` of template
+    /// `b * LANES + l`. The last block's spare lanes are zero.
+    templates: Vec<[f64; LANES]>,
     /// Matches below this correlation are rejected as unknown.
     pub min_confidence: f64,
 }
@@ -31,9 +43,13 @@ impl Recognizer {
     /// Build a matcher for the gallery.
     #[must_use]
     pub fn new(gallery: Gallery) -> Self {
-        let templates = (0..gallery.len())
-            .map(|i| normalize(gallery.face(i)))
-            .collect();
+        let mut templates = vec![[0.0; LANES]; gallery.len().div_ceil(LANES) * PATCH];
+        for i in 0..gallery.len() {
+            let block = &mut templates[i / LANES * PATCH..][..PATCH];
+            for (row, t) in block.iter_mut().zip(normalize(gallery.face(i))) {
+                row[i % LANES] = t;
+            }
+        }
         Recognizer {
             gallery,
             templates,
@@ -64,6 +80,8 @@ impl Recognizer {
     ) -> Option<Recognition> {
         let h = pixels.len() / w;
         let mut best: Option<(usize, f64, usize, usize)> = None;
+        let mut pixels_at = [0u8; PATCH];
+        let mut patch = [0.0f64; PATCH];
         const SEARCH: i64 = 3;
         for dy in -SEARCH..=SEARCH {
             for dx in -SEARCH..=SEARCH {
@@ -73,16 +91,18 @@ impl Recognizer {
                     continue;
                 }
                 let (x, y) = (x as usize, y as usize);
-                let mut patch = Vec::with_capacity(FACE_SIZE * FACE_SIZE);
-                for row in 0..FACE_SIZE {
+                for (row, out) in pixels_at.chunks_exact_mut(FACE_SIZE).enumerate() {
                     let start = (y + row) * w + x;
-                    patch.extend_from_slice(&pixels[start..start + FACE_SIZE]);
+                    out.copy_from_slice(&pixels[start..start + FACE_SIZE]);
                 }
-                let patch = normalize(&patch);
-                for (i, t) in self.templates.iter().enumerate() {
-                    let corr: f64 = patch.iter().zip(t).map(|(a, b)| a * b).sum();
-                    if best.map(|(_, c, _, _)| corr > c).unwrap_or(true) {
-                        best = Some((i, corr, x, y));
+                normalize_into(&pixels_at, &mut patch);
+                // Templates in gallery order, ties to the earlier one.
+                for (b, block) in self.templates.chunks_exact(PATCH).enumerate() {
+                    let corrs = correlate(&patch, block);
+                    for (i, &corr) in (b * LANES..self.gallery.len()).zip(&corrs) {
+                        if best.map(|(_, c, _, _)| corr > c).unwrap_or(true) {
+                            best = Some((i, corr, x, y));
+                        }
                     }
                 }
             }
@@ -114,18 +134,44 @@ pub fn recognize(
         .collect()
 }
 
+/// Correlation of one normalized patch with each template of a block.
+///
+/// Lane `l` adds `patch[p] * template_l[p]` in pixel order onto `-0.0`,
+/// the value `Sum for f64` starts from, so it equals
+/// `patch.iter().zip(template_l).map(|(a, b)| a * b).sum::<f64>()` to
+/// the bit, sign of zero included.
+fn correlate(patch: &[f64; PATCH], block: &[[f64; LANES]]) -> [f64; LANES] {
+    let mut acc = [-0.0f64; LANES];
+    for (&a, row) in patch.iter().zip(block) {
+        for (acc, &t) in acc.iter_mut().zip(row) {
+            *acc += a * t;
+        }
+    }
+    acc
+}
+
 /// Zero-mean, unit-norm projection of an 8-bit patch.
 fn normalize(patch: &[u8]) -> Vec<f64> {
-    let n = patch.len() as f64;
-    let mean = patch.iter().map(|&p| p as f64).sum::<f64>() / n;
-    let mut v: Vec<f64> = patch.iter().map(|&p| p as f64 - mean).collect();
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let mut v = vec![0.0; patch.len()];
+    normalize_into(patch, &mut v);
+    v
+}
+
+/// [`normalize`] into a buffer of the patch's length.
+fn normalize_into(patch: &[u8], out: &mut [f64]) {
+    // Pixel sums are integers far below 2^53: the integer sum is the
+    // float sum exactly, without its chain of dependent additions.
+    let sum: u64 = patch.iter().map(|&p| u64::from(p)).sum();
+    let mean = sum as f64 / patch.len() as f64;
+    for (x, &p) in out.iter_mut().zip(patch) {
+        *x = p as f64 - mean;
+    }
+    let norm = out.iter().map(|x| x * x).sum::<f64>().sqrt();
     if norm > 1e-9 {
-        for x in &mut v {
+        for x in out {
             *x /= norm;
         }
     }
-    v
 }
 
 #[cfg(test)]
@@ -206,6 +252,67 @@ mod tests {
             score: 0,
         };
         assert!(recognizer.match_patch(&pixels, FACE_SIZE, &det).is_none());
+    }
+
+    /// The blocked accumulators against the serial `Sum` they replaced,
+    /// where only the start value can tell them apart: products that
+    /// are all zeros of either sign (a flat patch normalizes to `+0.0`
+    /// everywhere) or that cancel exactly.
+    #[test]
+    fn flat_patch_and_zero_correlation_keep_their_sign() {
+        let mut rng = swing_core::rng::DetRng::seed_from_u64(9);
+        let mut block = vec![[0.0f64; LANES]; PATCH];
+        for row in &mut block {
+            for t in row.iter_mut() {
+                *t = rng.random_range(-1.0..1.0);
+            }
+            // One lane of each sign, so every product of a zero patch
+            // is `-0.0` in one of them: the sum stays `-0.0` only if
+            // the accumulator started there.
+            (row[0], row[1]) = (row[0].abs(), -row[1].abs());
+        }
+        block[1] = block[0];
+
+        let mut flat = [1.0; PATCH];
+        normalize_into(&[128; PATCH], &mut flat);
+        assert!(flat.iter().all(|x| x.to_bits() == 0.0f64.to_bits()));
+        let mut cancelling = [0.0; PATCH];
+        (cancelling[0], cancelling[1]) = (1.0, -1.0); // t − t: an exact +0.0
+        let mut ramp = [0.0; PATCH];
+        for (p, x) in ramp.iter_mut().enumerate() {
+            *x = p as f64 / 7.0 - 20.0;
+        }
+        for (name, patch) in [
+            ("flat", flat),
+            ("negative zeros", [-0.0; PATCH]),
+            ("cancelling", cancelling),
+            ("ramp", ramp),
+        ] {
+            let got = correlate(&patch, &block);
+            for lane in 0..LANES {
+                let want: f64 = patch.iter().zip(&block).map(|(a, t)| a * t[lane]).sum();
+                assert_eq!(got[lane].to_bits(), want.to_bits(), "{name}, lane {lane}");
+            }
+        }
+    }
+
+    /// 11 identities: a full block of templates and a partly filled one.
+    #[test]
+    fn every_identity_of_a_two_block_gallery_matches_itself() {
+        let gallery = Gallery::generate(11, 5);
+        let recognizer = Recognizer::new(gallery.clone());
+        let det = Detection {
+            x: 0,
+            y: 0,
+            score: 0,
+        };
+        for person in 0..gallery.len() {
+            let rec = recognizer
+                .match_patch(gallery.face(person), FACE_SIZE, &det)
+                .expect("a template matches itself");
+            assert_eq!(rec.person, person);
+            assert!(rec.confidence > 0.99);
+        }
     }
 
     #[test]

@@ -117,8 +117,7 @@ impl FunctionUnit for DetectUnit {
             flat.push(d.y as f32);
             flat.push(d.score as f32);
         }
-        let out = data.clone().with(FIELD_DETECTIONS, flat);
-        ctx.send(out);
+        ctx.send(data.with(FIELD_DETECTIONS, flat));
     }
 }
 

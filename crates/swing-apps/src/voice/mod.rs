@@ -9,8 +9,9 @@
 //! The synthetic microphone encodes English sentences as sequences of
 //! tone chords (each vocabulary word owns a unique pair of frequencies),
 //! 16-bit PCM at 8 kHz, 36 000 samples = 72 000 bytes per frame. The
-//! recognizer runs a Goertzel filterbank over 25 ms windows and decodes
-//! the word sequence; the translator maps it to Spanish with a
+//! recognizer runs a Goertzel filterbank over 25 ms windows (all
+//! filters of a block advancing together, see [`FilterBank`]) and
+//! decodes the word sequence; the translator maps it to Spanish with a
 //! dictionary plus simple reordering rules.
 
 mod features;
@@ -19,7 +20,7 @@ mod signal;
 mod translate;
 mod units;
 
-pub use features::{goertzel_power, window_energies, WINDOW_SAMPLES};
+pub use features::{goertzel_power, FilterBank, WINDOW_SAMPLES};
 pub use recognize::{recognize_words, Recognizer};
 pub use signal::{
     AudioGenerator, Utterance, Vocabulary, FRAME_BYTES, FRAME_SAMPLES, SAMPLE_RATE_HZ,

@@ -1,27 +1,26 @@
 //! Word recognition: score every vocabulary word per window, then
 //! decode the word sequence with run-length smoothing.
 
-use crate::voice::features::{window_energies, WINDOW_SAMPLES};
-use crate::voice::signal::{pcm_to_samples, Vocabulary, WORD_SAMPLES};
+use crate::voice::features::{FilterBank, WINDOW_SAMPLES};
+use crate::voice::signal::{Vocabulary, WORD_SAMPLES};
 
 /// Decoder for tone-chord encoded speech.
 #[derive(Debug, Clone)]
 pub struct Recognizer {
     vocab: Vocabulary,
-    freqs: Vec<f64>,
+    /// Filters `2w` and `2w + 1` are word `w`'s chord `(f1, f2)`.
+    bank: FilterBank,
 }
 
 impl Recognizer {
     /// Build a recognizer over the vocabulary.
     #[must_use]
     pub fn new(vocab: Vocabulary) -> Self {
-        let mut freqs = Vec::with_capacity(vocab.len() * 2);
-        for i in 0..vocab.len() {
-            let (f1, f2) = vocab.freqs(i);
-            freqs.push(f1);
-            freqs.push(f2);
-        }
-        Recognizer { vocab, freqs }
+        let freqs: Vec<f64> = (0..vocab.len())
+            .flat_map(|i| <[f64; 2]>::from(vocab.freqs(i)))
+            .collect();
+        let bank = FilterBank::new(&freqs);
+        Recognizer { vocab, bank }
     }
 
     /// The vocabulary being decoded.
@@ -33,61 +32,71 @@ impl Recognizer {
     /// Decode an audio frame (16-bit LE PCM) into the spoken words.
     #[must_use]
     pub fn decode(&self, pcm: &[u8]) -> Vec<&'static str> {
-        let samples = pcm_to_samples(pcm);
-        let energies = window_energies(&samples, &self.freqs);
-        // Score per window: the word whose chord (f1 AND f2) carries the
-        // most combined energy, gated geometrically so a single loud
-        // frequency cannot win alone.
-        let windows: Vec<Option<usize>> = energies
-            .iter()
-            .map(|row| {
-                let mut best: Option<(usize, f64)> = None;
-                let total: f64 = row.iter().sum::<f64>() + 1e-9;
-                for w in 0..self.vocab.len() {
-                    let p1 = row[2 * w];
-                    let p2 = row[2 * w + 1];
-                    let score = (p1 * p2).sqrt();
-                    if best.map(|(_, s)| score > s).unwrap_or(true) {
-                        best = Some((w, score));
-                    }
-                }
-                // Reject silent / ambiguous windows.
-                best.filter(|&(w, s)| {
-                    let share = (row[2 * w] + row[2 * w + 1]) / total;
-                    s > 50.0 && share > 0.5
-                })
-                .map(|(w, _)| w)
-            })
-            .collect();
-        self.smooth(&windows)
+        let mut runs = Runs::default();
+        self.bank
+            .for_each_window(pcm, |row| runs.push(self.vote(row)));
+        let words = runs.finish().into_iter();
+        words.map(|w| self.vocab.word(w)).collect()
     }
 
-    /// Collapse per-window votes into words: a word is emitted for every
-    /// run of at least `min_run` consistent windows.
-    fn smooth(&self, windows: &[Option<usize>]) -> Vec<&'static str> {
-        let windows_per_word = WORD_SAMPLES / WINDOW_SAMPLES;
-        let min_run = (windows_per_word / 2).max(2);
-        let mut out = Vec::new();
-        let mut run: Option<(usize, usize)> = None; // (word, length)
-        let flush = |run: &mut Option<(usize, usize)>, out: &mut Vec<&'static str>| {
-            if let Some((w, len)) = run.take() {
-                if len >= min_run {
-                    out.push(self.vocab.word(w));
-                }
-            }
-        };
-        for &vote in windows {
-            match (vote, run) {
-                (Some(w), Some((rw, len))) if w == rw => run = Some((rw, len + 1)),
-                (Some(w), _) => {
-                    flush(&mut run, &mut out);
-                    run = Some((w, 1));
-                }
-                (None, _) => flush(&mut run, &mut out),
+    /// The word one window votes for: the one whose chord (f1 AND f2)
+    /// carries the most combined energy, gated geometrically so a
+    /// single loud frequency cannot win alone.
+    fn vote(&self, row: &[f64]) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        let total: f64 = row.iter().sum::<f64>() + 1e-9;
+        for w in 0..self.vocab.len() {
+            let p1 = row[2 * w];
+            let p2 = row[2 * w + 1];
+            let score = (p1 * p2).sqrt();
+            if best.map(|(_, s)| score > s).unwrap_or(true) {
+                best = Some((w, score));
             }
         }
-        flush(&mut run, &mut out);
-        out
+        // Reject silent / ambiguous windows.
+        best.filter(|&(w, s)| {
+            let share = (row[2 * w] + row[2 * w + 1]) / total;
+            s > 50.0 && share > 0.5
+        })
+        .map(|(w, _)| w)
+    }
+}
+
+/// Collapses per-window votes into words as they arrive: a word is
+/// emitted for every run of at least `MIN_RUN` consistent windows.
+#[derive(Debug, Default)]
+struct Runs {
+    /// The run in progress: (word, length).
+    run: Option<(usize, usize)>,
+    words: Vec<usize>,
+}
+
+impl Runs {
+    /// Half a word's windows; a shorter run is a boundary artefact.
+    const MIN_RUN: usize = WORD_SAMPLES / WINDOW_SAMPLES / 2;
+
+    fn push(&mut self, vote: Option<usize>) {
+        match (vote, self.run) {
+            (Some(w), Some((rw, len))) if w == rw => self.run = Some((rw, len + 1)),
+            (Some(w), _) => {
+                self.flush();
+                self.run = Some((w, 1));
+            }
+            (None, _) => self.flush(),
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some((w, len)) = self.run.take() {
+            if len >= Self::MIN_RUN {
+                self.words.push(w);
+            }
+        }
+    }
+
+    fn finish(mut self) -> Vec<usize> {
+        self.flush();
+        self.words
     }
 }
 

@@ -147,14 +147,6 @@ impl AudioGenerator {
     }
 }
 
-/// Decode little-endian PCM bytes into i16 samples.
-#[must_use]
-pub fn pcm_to_samples(pcm: &[u8]) -> Vec<i16> {
-    pcm.chunks_exact(2)
-        .map(|c| i16::from_le_bytes([c[0], c[1]]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,22 +198,15 @@ mod tests {
     }
 
     #[test]
-    fn pcm_roundtrip() {
-        let samples = [0i16, 1, -1, i16::MAX, i16::MIN];
-        let mut pcm = Vec::new();
-        for s in samples {
-            pcm.extend_from_slice(&s.to_le_bytes());
-        }
-        assert_eq!(pcm_to_samples(&pcm), samples);
-    }
-
-    #[test]
     fn signal_energy_is_substantial() {
         let mut g = AudioGenerator::new(Vocabulary::standard(), 2);
         let u = g.next_utterance();
-        let samples = pcm_to_samples(&u.pcm);
-        let rms = (samples.iter().map(|&s| (s as f64).powi(2)).sum::<f64>() / samples.len() as f64)
-            .sqrt();
+        let samples = u
+            .pcm
+            .chunks_exact(2)
+            .map(|c| i16::from_le_bytes([c[0], c[1]]));
+        let rms =
+            (samples.map(|s| f64::from(s).powi(2)).sum::<f64>() / FRAME_SAMPLES as f64).sqrt();
         assert!(rms > 2_000.0, "rms {rms}");
     }
 }

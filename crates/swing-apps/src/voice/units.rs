@@ -111,8 +111,7 @@ impl FunctionUnit for TranslateUnit {
         };
         let words: Vec<&str> = english.split_whitespace().collect();
         let spanish = self.translator.translate_words(&words);
-        let out = data.clone().with(FIELD_SPANISH, spanish);
-        ctx.send(out);
+        ctx.send(data.with(FIELD_SPANISH, spanish));
     }
 }
 
